@@ -40,7 +40,7 @@ for cut_type in enumerate_types(emb).all_types:
     print(f"type {cut_type}  (gcd {gcd(*cut_type)})")
     print(f"  cut arrows: {cut.sorted_arrows()}")
     print(f"  height on representatives: "
-          f"{[height.values[rep] for rep in quiver.vertices]}")
+          f"{list(height.values)}")
     print(f"  homomorphism on L1 basis: {height.l1_values}")
     if is_acyclic(sub):
         print(f"  degree-zero quiver is ACYCLIC: sources {sources(sub)},"

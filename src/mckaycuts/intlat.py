@@ -39,12 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Vec) -> Vec:
-    if not a or len(a[0]) != len(v):
-        raise ValueError("matrix dimension mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def det(m: Matrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination."""
     n = len(m)

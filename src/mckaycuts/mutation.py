@@ -7,6 +7,17 @@ vector turns the cuts of a fixed positive type into a finite
 distributive sublattice of Z^m whose cover relations are exactly the
 mutations away from the origin vertex; closing any seed cut under
 nonzero mutations therefore enumerates the whole lattice.
+
+The lattice walk and the greedy extremes run on integer height vectors
+rather than on arrow sets (the push-one-vertex walk of Propp, "Lattice
+structure for orientations of graphs", arXiv:math/0209005).  The height
+of the seed cut is computed once.  Vertex x is a source of the cut
+quiver when every arrow out of x steps +1 and every arrow into x steps
+-n, a sink when the signs are swapped, and mutating there adds (or
+subtracts) n+1 to ``h[x]``.  Cuts are read off the final heights with
+the same step check as :func:`mckaycuts.heights.cut_from_height`.
+``mutable_vertices``, ``mutate_source``/``mutate_sink`` and
+``relative_height_vector`` remain as the cut-level API.
 """
 
 from __future__ import annotations
@@ -16,7 +27,13 @@ from itertools import combinations, product
 
 from .construct import construct_cut, cut_to_json
 from .errors import SearchBoundExceededError, UnsupportedLatticeError
-from .heights import HeightFunction, cut_from_height, h_gamma, height_from_cut
+from .heights import (
+    HeightFunction,
+    cut_from_height,
+    drops,
+    h_gamma,
+    height_from_cut,
+)
 from .intlat import Vec
 from .quiver import Cut, McKayQuiver, cut_quiver, is_cut, sinks, sources, type_of
 from .typesimplex import require_admissible
@@ -55,12 +72,14 @@ def relative_height_vector(cut: Cut, reference: Cut) -> Vec:
         raise ValueError("relative heights require cuts of the same type")
     h = height_from_cut(quiver, cut)
     h_ref = height_from_cut(quiver, reference)
-    step = quiver.n + 1
+    return _relative(h.values, h_ref.values, quiver.n + 1)
+
+
+def _relative(values, reference, rise: int) -> Vec:
     out = []
-    for rep in quiver.vertices:
-        diff = h.values[rep] - h_ref.values[rep]
-        assert diff % step == 0
-        out.append(diff // step)
+    for a, b in zip(values, reference):
+        assert (a - b) % rise == 0
+        out.append((a - b) // rise)
     return tuple(out)
 
 
@@ -71,9 +90,10 @@ def _extremal_height(cut_a: Cut, cut_b: Cut, pick) -> HeightFunction:
     h_a = height_from_cut(quiver, cut_a)
     h_b = height_from_cut(quiver, cut_b)
     assert h_a.l1_values == h_b.l1_values
-    values = {rep: pick(h_a.values[rep], h_b.values[rep]) for rep in quiver.vertices}
     return HeightFunction(
-        embedding=quiver.embedding, values=values, l1_values=h_a.l1_values
+        embedding=quiver.embedding,
+        values=tuple(map(pick, h_a.values, h_b.values)),
+        l1_values=h_a.l1_values,
     )
 
 
@@ -166,62 +186,122 @@ def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
     raise AssertionError("cut lattice is not closed under meet/join")
 
 
+class _HeightSteps:
+    """Source and sink tests on the height vectors of one cut type."""
+
+    def __init__(self, quiver: McKayQuiver, l1_values) -> None:
+        lifts = quiver.arrow_lifts(l1_values)
+        self.quiver = quiver
+        self.lifts = lifts
+        self.out = tuple(
+            tuple(zip(row, lifts[v])) for v, row in enumerate(quiver.targets)
+        )
+        self.into = tuple(
+            tuple((u, lifts[u][t - 1]) for u, t in quiver.in_arrows(v))
+            for v in range(quiver.m)
+        )
+
+    def direction(self, h, x: int) -> int:
+        """+1 if x is a source of the cut quiver, -1 if a sink, else 0.
+
+        A source has every out-arrow step +1 (kept) and every in-arrow
+        step -n (cut); a sink the reverse.  A loop steps the same way
+        in and out, so a vertex with a loop is neither.
+        """
+        n = self.quiver.n
+        hx = h[x]
+        out = self.out[x]
+        head, head_lift = out[0]
+        first = h[head] + head_lift - hx
+        if first == 1:
+            up, down = 1, -n
+        elif first == -n:
+            up, down = -n, 1
+        else:
+            return 0
+        if all(h[w] + lift - hx == up for w, lift in out) and all(
+            hx + lift - h[u] == down for u, lift in self.into[x]
+        ):
+            return 1 if up == 1 else -1
+        return 0
+
+    def cut(self, h) -> Cut:
+        return Cut(quiver=self.quiver, arrows=drops(self.quiver, h, self.lifts))
+
+
+def _walk_lattice(steps: _HeightSteps, start: Vec):
+    """Close a height vector under nonzero source and sink mutations.
+
+    Returns the set of heights reached and the covers as
+    ``(lower, upper, vertex)`` triples of heights.  Each cover is a
+    source mutation of its lower end, so recording only those lists it
+    exactly once.
+    """
+    rise = steps.quiver.n + 1
+    vertices = range(1, steps.quiver.m)
+    seen = {start}
+    stack = [start]
+    covers = []
+    while stack:
+        h = stack.pop()
+        for x in vertices:
+            sign = steps.direction(h, x)
+            if not sign:
+                continue
+            moved = list(h)
+            moved[x] += sign * rise
+            moved = tuple(moved)
+            if sign > 0:
+                covers.append((h, moved, x))
+            if moved not in seen:
+                seen.add(moved)
+                stack.append(moved)
+    return seen, covers
+
+
 def enumerate_cut_lattice(
     quiver: McKayQuiver, cut_type, brute_budget: int = 6
 ) -> MutationLattice:
     """The full lattice of cuts of one type.
 
-    Positive types are enumerated by closing a constructed seed cut
-    under nonzero source and sink mutations, which is complete because
-    mutations realise all cover relations.  Nonpositive types have no
-    mutable vertices, so they fall back to exhaustive subset search,
-    which is refused beyond ``brute_budget`` (an upper bound on m).
+    Positive types are enumerated by closing the height vector of a
+    constructed seed cut under nonzero source and sink mutations, which
+    is complete because mutations realise all cover relations.
+    Nonpositive types have no mutable vertices, so they fall back to
+    exhaustive subset search, which is refused beyond ``brute_budget``
+    (an upper bound on m).
     """
     embedding = quiver.embedding
     cut_type = require_admissible(embedding, cut_type)
     seed = construct_cut(quiver, cut_type)
-    positive = all(g > 0 for g in cut_type)
-    edges: set[tuple[frozenset, frozenset, int]] = set()
-    if positive:
-        cuts_by_arrows = {seed.arrows: seed}
-        queue = [seed]
-        while queue:
-            cut = queue.pop()
-            cut_sources, cut_sinks = mutable_vertices(quiver, cut)
-            for v in cut_sources:
-                if v == 0:
-                    continue
-                upper = mutate_source(quiver, cut, v)
-                edges.add((cut.arrows, upper.arrows, v))
-                if upper.arrows not in cuts_by_arrows:
-                    cuts_by_arrows[upper.arrows] = upper
-                    queue.append(upper)
-            for v in cut_sinks:
-                if v == 0:
-                    continue
-                lower = mutate_sink(quiver, cut, v)
-                edges.add((lower.arrows, cut.arrows, v))
-                if lower.arrows not in cuts_by_arrows:
-                    cuts_by_arrows[lower.arrows] = lower
-                    queue.append(lower)
-        cuts = list(cuts_by_arrows.values())
+    seed_height = height_from_cut(quiver, seed)
+    if all(g > 0 for g in cut_type):
+        steps = _HeightSteps(quiver, seed_height.l1_values)
+        heights, covers = _walk_lattice(steps, seed_height.values)
+        by_height = {h: steps.cut(h) for h in heights}
+        assert all(type_of(c) == cut_type for c in by_height.values())
     else:
         if quiver.m > brute_budget:
             raise UnsupportedLatticeError(
                 f"nonpositive type {cut_type} needs exhaustive search, "
                 f"unsupported beyond m = {brute_budget}"
             )
-        cuts = brute_force_cuts_of_type(quiver, cut_type)
-    vectors = {c.arrows: relative_height_vector(c, seed) for c in cuts}
-    cuts.sort(key=lambda c: vectors[c.arrows])
-    order = {c.arrows: i for i, c in enumerate(cuts)}
-    v_vectors = tuple(vectors[c.arrows] for c in cuts)
-    hasse = tuple(
-        sorted((order[lo], order[hi], vx) for lo, hi, vx in edges)
-    )
+        by_height = {
+            height_from_cut(quiver, c).values: c
+            for c in brute_force_cuts_of_type(quiver, cut_type)
+        }
+        covers = []
+    rise = quiver.n + 1
+    vectors = {
+        h: _relative(h, seed_height.values, rise) for h in by_height
+    }
+    ordered = sorted(by_height, key=vectors.__getitem__)
+    order = {h: i for i, h in enumerate(ordered)}
+    v_vectors = tuple(vectors[h] for h in ordered)
+    hasse = tuple(sorted((order[lo], order[hi], vx) for lo, hi, vx in covers))
     return MutationLattice(
         cut_type=cut_type,
-        cuts=tuple(cuts),
+        cuts=tuple(by_height[h] for h in ordered),
         v_vectors=v_vectors,
         hasse_edges=hasse,
         max_index=_dominant_index(v_vectors, max),
@@ -238,32 +318,34 @@ def _require_positive(quiver: McKayQuiver, cut_type) -> Vec:
     return cut_type
 
 
+def _greedy_extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
+    """Mutate the lowest nonzero source (sign +1) or sink (sign -1) until none is left."""
+    cut_type = _require_positive(quiver, cut_type)
+    seed_height = height_from_cut(quiver, construct_cut(quiver, cut_type))
+    steps = _HeightSteps(quiver, seed_height.l1_values)
+    h = list(seed_height.values)
+    rise = sign * (quiver.n + 1)
+    for _ in range(10_000 * quiver.m):
+        x = next(
+            (x for x in range(1, quiver.m) if steps.direction(h, x) == sign),
+            None,
+        )
+        if x is None:
+            assert steps.direction(h, 0) == sign
+            return steps.cut(h)
+        h[x] += rise
+    kind = "source" if sign > 0 else "sink"
+    raise AssertionError(f"{kind} mutation failed to terminate")
+
+
 def max_element(quiver: McKayQuiver, cut_type) -> Cut:
     """Greedy maximum: mutate nonzero sources until only the origin is one."""
-    cut_type = _require_positive(quiver, cut_type)
-    cut = construct_cut(quiver, cut_type)
-    for _ in range(10_000 * quiver.m):
-        cut_sources, _ = mutable_vertices(quiver, cut)
-        nonzero = [v for v in cut_sources if v != 0]
-        if not nonzero:
-            assert cut_sources == (0,)
-            return cut
-        cut = mutate_source(quiver, cut, nonzero[0])
-    raise AssertionError("source mutation failed to terminate")
+    return _greedy_extreme(quiver, cut_type, 1)
 
 
 def min_element(quiver: McKayQuiver, cut_type) -> Cut:
     """Greedy minimum: mutate nonzero sinks until only the origin is one."""
-    cut_type = _require_positive(quiver, cut_type)
-    cut = construct_cut(quiver, cut_type)
-    for _ in range(10_000 * quiver.m):
-        _, cut_sinks = mutable_vertices(quiver, cut)
-        nonzero = [v for v in cut_sinks if v != 0]
-        if not nonzero:
-            assert cut_sinks == (0,)
-            return cut
-        cut = mutate_sink(quiver, cut, nonzero[0])
-    raise AssertionError("sink mutation failed to terminate")
+    return _greedy_extreme(quiver, cut_type, -1)
 
 
 def _support_feasible(embedding, cut_type, u: Vec, radius: int) -> bool:
@@ -340,10 +422,10 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
         (abs(c) for rep in quiver.vertices for c in rep), default=0
     )
     radius = m * (norm + m + n + 1)
-    values = {}
-    for rep in quiver.vertices:
-        p = _support_max(embedding, cut_type, rep, radius)
-        values[rep] = sum(rep) - (n + 1) * p
+    values = tuple(
+        sum(rep) - (n + 1) * _support_max(embedding, cut_type, rep, radius)
+        for rep in quiver.vertices
+    )
     l1_values = tuple(
         h_gamma(embedding, col, cut_type) for col in embedding.basis_columns()
     )

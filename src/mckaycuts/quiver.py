@@ -37,6 +37,9 @@ class McKayQuiver:
     index: dict[Vec, int]
     targets: tuple[tuple[int, ...], ...]
     incoming: tuple[tuple[Arrow, ...], ...]
+    _lifts: dict[Vec, tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def n(self) -> int:
@@ -63,6 +66,46 @@ class McKayQuiver:
 
     def in_arrows(self, v: int) -> tuple[Arrow, ...]:
         return self.incoming[v]
+
+    @cached_property
+    def arrow_wraps(self) -> tuple[tuple[Vec, ...], ...]:
+        """HNF coefficients of each arrow's L1 wrap, indexed ``[v][t - 1]``.
+
+        The arrow ``(v, t)`` to ``w`` lifts to ``x_v -> x_v + alpha_t``,
+        which lies in the coset of ``x_w`` but may leave the fundamental
+        domain; the wrap ``x_v + alpha_t - x_w`` is the L1 vector it
+        crosses.  It depends only on the quiver; see ``arrow_lifts``.
+        """
+        steps = step_vectors(self.n)
+        wraps = []
+        for v, rep in enumerate(self.vertices):
+            row = []
+            for step, w in zip(steps, self.targets[v]):
+                wrap = tuple(
+                    a + s - r for a, s, r in zip(rep, step, self.vertices[w])
+                )
+                coeffs = self.embedding.l1_coefficients(wrap)
+                assert coeffs is not None
+                row.append(coeffs)
+            wraps.append(tuple(row))
+        return tuple(wraps)
+
+    def arrow_lifts(self, l1_values) -> tuple[tuple[int, ...], ...]:
+        """Height each arrow's L1 wrap adds, indexed ``[v][t - 1]``.
+
+        That is the wrap's coefficients dotted with the L1 values of a
+        height function.  Memoised per quiver, because every cut of one
+        type shares its L1 values.
+        """
+        l1_values = tuple(l1_values)
+        lifts = self._lifts.get(l1_values)
+        if lifts is None:
+            lifts = tuple(
+                tuple(sum(c * h for c, h in zip(wrap, l1_values)) for wrap in row)
+                for row in self.arrow_wraps
+            )
+            self._lifts[l1_values] = lifts
+        return lifts
 
     @cached_property
     def cycles(self) -> tuple[tuple[Arrow, ...], ...]:
@@ -199,23 +242,22 @@ def cut_quiver(quiver: McKayQuiver, cut: Cut) -> Subquiver:
     return Subquiver(quiver=quiver, arrows=keep)
 
 
-def sources(sub: Subquiver) -> tuple[int, ...]:
+def _has_in_out(sub: Subquiver) -> tuple[list[bool], list[bool]]:
     has_in = [False] * sub.quiver.m
-    for v, t in sub.arrows:
-        has_in[sub.quiver.target(v, t)] = True
     has_out = [False] * sub.quiver.m
-    for v, _ in sub.arrows:
+    for v, t in sub.arrows:
         has_out[v] = True
+        has_in[sub.quiver.target(v, t)] = True
+    return has_in, has_out
+
+
+def sources(sub: Subquiver) -> tuple[int, ...]:
+    has_in, has_out = _has_in_out(sub)
     return tuple(v for v in range(sub.quiver.m) if has_out[v] and not has_in[v])
 
 
 def sinks(sub: Subquiver) -> tuple[int, ...]:
-    has_in = [False] * sub.quiver.m
-    for v, t in sub.arrows:
-        has_in[sub.quiver.target(v, t)] = True
-    has_out = [False] * sub.quiver.m
-    for v, _ in sub.arrows:
-        has_out[v] = True
+    has_in, has_out = _has_in_out(sub)
     return tuple(v for v in range(sub.quiver.m) if has_in[v] and not has_out[v])
 
 

@@ -1,9 +1,14 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mckaycuts.construct import construct_cut
 from mckaycuts.errors import UnsupportedLatticeError
+from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import (
     enumerate_cut_lattice,
@@ -17,10 +22,16 @@ from mckaycuts.mutation import (
     mutate_source,
     relative_height_vector,
 )
-from mckaycuts.quiver import cut_quiver, make_cut, sources, type_of
+from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
 from mckaycuts.typesimplex import enumerate_types
 from conftest import instance
 from oracles import all_cuts_exhaustive
+
+
+def cyclic_quiver(m, weights):
+    """McKay quiver of the cyclic group 1/m(weights)."""
+    spec = GroupSpec.make(len(weights) - 1, [(m, weights)])
+    return build_mckay(embedding_from_spec(spec))
 
 
 def lattice_instances():
@@ -104,9 +115,9 @@ class TestMutate:
                     continue
                 after = height_from_cut(quiver, mutate_source(quiver, cut, v))
                 assert after.l1_values == before.l1_values
-                for w, rep in enumerate(quiver.vertices):
-                    expected = before.values[rep] + (n + 1 if w == v else 0)
-                    assert after.values[rep] == expected
+                for w in range(quiver.m):
+                    expected = before.values[w] + (n + 1 if w == v else 0)
+                    assert after.values[w] == expected
 
 
 class TestRelativeHeightAndMeetJoin:
@@ -271,7 +282,7 @@ class TestMaxViaP:
         _, _, quiver = instance("half_11")
         cut = max_via_p(quiver, (1, 1))
         height = height_from_cut(quiver, cut)
-        assert height.values == {(0,): 0, (1,): 1}
+        assert height.values == (0, 1)
         assert cut.arrows == {(1, 1), (1, 2)}
 
     def test_third_111(self):
@@ -291,3 +302,79 @@ class TestMaxViaP:
         _, emb, quiver = instance("third_111")
         cut = max_via_p(quiver, (3, 0, 0))
         assert cut.arrows == {(v, 1) for v in range(emb.m)}
+
+
+# The lattice benchmark instances: group weights, type, cuts and covers.
+BENCHMARK_LATTICES = (
+    (18, (1, 5, 12), (5, 7, 6), 378, 1037),
+    (18, (1, 5, 12), (8, 4, 6), 270, 680),
+    (24, (1, 5, 18), (6, 6, 12), 1272, 4048),
+    (24, (1, 5, 18), (7, 11, 6), 1824, 6141),
+)
+
+
+class TestBenchmarkLattices:
+    @pytest.mark.parametrize("m, weights, cut_type, n_cuts, n_covers",
+                             BENCHMARK_LATTICES)
+    def test_against_oracle(self, m, weights, cut_type, n_cuts, n_covers):
+        quiver = cyclic_quiver(m, weights)
+        lattice = enumerate_cut_lattice(quiver, cut_type)
+        oracle = all_cuts_exhaustive(quiver, cut_type)
+        assert {c.arrows for c in lattice.cuts} == set(oracle)
+        assert len(lattice.cuts) == n_cuts
+        assert len(lattice.hasse_edges) == n_covers
+        for lo, hi, vx in lattice.hasse_edges:
+            diff = [
+                b - a
+                for a, b in zip(lattice.v_vectors[lo], lattice.v_vectors[hi])
+            ]
+            assert vx != 0
+            assert diff == [1 if v == vx else 0 for v in range(m)]
+
+    @pytest.mark.parametrize("m, weights, cut_type, n_cuts, n_covers",
+                             BENCHMARK_LATTICES)
+    def test_counts_invariant_under_coordinate_permutation(
+        self, m, weights, cut_type, n_cuts, n_covers
+    ):
+        perm = (2, 0, 1)
+        quiver = cyclic_quiver(m, tuple(weights[i] for i in perm))
+        lattice = enumerate_cut_lattice(quiver, tuple(cut_type[i] for i in perm))
+        assert len(lattice.cuts) == n_cuts
+        assert len(lattice.hasse_edges) == n_covers
+
+
+@st.composite
+def cyclic_positive_types(draw):
+    """A cyclic group 1/m(a, b, -a-b) with m <= 16 and one positive type."""
+    m = draw(st.integers(2, 16))
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(0, m - 1))
+    assume(gcd(gcd(a, b), m) == 1)
+    quiver = cyclic_quiver(m, (a, b, -a - b))
+    positive = enumerate_types(quiver.embedding).positive_types
+    assume(positive)
+    return quiver, draw(st.sampled_from(positive))
+
+
+class TestLatticeProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(cyclic_positive_types(), st.data())
+    def test_lattice_matches_oracle_and_extremes(self, instance, data):
+        quiver, cut_type = instance
+        lattice = enumerate_cut_lattice(quiver, cut_type)
+        oracle = all_cuts_exhaustive(quiver, cut_type)
+        assert {c.arrows for c in lattice.cuts} == set(oracle)
+        maximum = lattice.cuts[lattice.max_index]
+        assert maximum == max_element(quiver, cut_type)
+        assert maximum == max_via_p(quiver, cut_type)
+        assert lattice.cuts[lattice.min_index] == min_element(quiver, cut_type)
+
+        index_of = {c.arrows: i for i, c in enumerate(lattice.cuts)}
+        members = st.integers(0, len(lattice.cuts) - 1)
+        i, j = data.draw(members), data.draw(members)
+        a, b = lattice.cuts[i], lattice.cuts[j]
+        va, vb = lattice.v_vectors[i], lattice.v_vectors[j]
+        v_meet = lattice.v_vectors[index_of[meet(a, b).arrows]]
+        v_join = lattice.v_vectors[index_of[join(a, b).arrows]]
+        assert v_meet == tuple(map(min, va, vb))
+        assert v_join == tuple(map(max, va, vb))
