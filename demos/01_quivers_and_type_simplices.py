@@ -28,7 +28,7 @@ def show(title, n, generators):
 
     quiver = build_mckay(emb)
     print(f"  quiver: {quiver.m} vertices, {(quiver.n + 1) * quiver.m} arrows,"
-          f" {len(quiver.cycles)} elementary cycles")
+          f" {sum(1 for _ in quiver.elementary_cycles())} elementary cycles")
     print(f"  vertices (canonical coset representatives): {quiver.vertices}")
 
     report = enumerate_types(emb)

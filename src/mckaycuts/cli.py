@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import factorial
 
 from .construct import construct_cut, cut_from_json, cut_to_json, degree_zero_presentation
 from .errors import (
@@ -97,7 +98,7 @@ def _cmd_analyze(args) -> int:
             "quiver": {
                 "vertices": quiver.m,
                 "arrows": (quiver.n + 1) * quiver.m,
-                "elementary_cycles": len(quiver.cycles),
+                "elementary_cycles": quiver.m * factorial(quiver.n),
             },
             "types": report.to_json()
             | {"vertices": [list(t) for t in report.vertices]},

@@ -29,13 +29,21 @@ from .construct import construct_cut, cut_to_json
 from .errors import SearchBoundExceededError, UnsupportedLatticeError
 from .heights import (
     HeightFunction,
+    _l1_values,
     cut_from_height,
     drops,
-    h_gamma,
     height_from_cut,
 )
 from .intlat import Vec
-from .quiver import Cut, McKayQuiver, cut_quiver, is_cut, sinks, sources, type_of
+from .quiver import (
+    Cut,
+    McKayQuiver,
+    cut_quiver,
+    first_violated_cycle,
+    sinks,
+    sources,
+    type_of,
+)
 from .typesimplex import require_admissible
 
 
@@ -160,7 +168,8 @@ def brute_force_cuts_of_type(quiver: McKayQuiver, cut_type) -> list[Cut]:
 
     Works for any nonnegative counts summing to m, admissible or not;
     for inadmissible counts the result is provably empty, which is what
-    the verification harness checks.
+    the verification harness checks.  The elementary cycles are walked
+    once per call and every candidate subset is tested against them.
     """
     cut_type = tuple(int(g) for g in cut_type)
     by_type = [
@@ -169,10 +178,11 @@ def brute_force_cuts_of_type(quiver: McKayQuiver, cut_type) -> list[Cut]:
     pools = [
         list(combinations(by_type[t - 1], cut_type[t - 1])) for t in quiver.types
     ]
+    cycles = tuple(quiver.elementary_cycles())
     found = []
     for chosen in product(*pools):
         arrows = frozenset(a for group in chosen for a in group)
-        if is_cut(quiver, arrows):
+        if first_violated_cycle(cycles, arrows) is None:
             found.append(Cut(quiver=quiver, arrows=arrows))
     return found
 
@@ -426,11 +436,10 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
         sum(rep) - (n + 1) * _support_max(embedding, cut_type, rep, radius)
         for rep in quiver.vertices
     )
-    l1_values = tuple(
-        h_gamma(embedding, col, cut_type) for col in embedding.basis_columns()
-    )
     height = HeightFunction(
-        embedding=embedding, values=values, l1_values=l1_values
+        embedding=embedding,
+        values=values,
+        l1_values=_l1_values(embedding, cut_type),
     )
     try:
         cut = cut_from_height(quiver, height)

@@ -4,6 +4,12 @@ The quiver of an embedding has one vertex per coset of L1 in Z^n and,
 for each vertex, one outgoing arrow per step direction alpha_1, ...,
 alpha_n, alpha_{n+1} = -(alpha_1 + ... + alpha_n).  An arrow is
 identified by the pair ``(source index, type)`` with types 1..n+1.
+
+A cut is an arrow set meeting every elementary cycle exactly once.
+There are m * n! elementary cycles, so they are walked on demand
+(``McKayQuiver.elementary_cycles``) and never stored; every cut check
+scans them with the one walker ``first_violated_cycle``, and the
+``analyze`` subcommand reports their number without listing them.
 """
 
 from __future__ import annotations
@@ -107,25 +113,24 @@ class McKayQuiver:
             self._lifts[l1_values] = lifts
         return lifts
 
-    @cached_property
-    def cycles(self) -> tuple[tuple[Arrow, ...], ...]:
-        """All elementary cycles, canonically rotated to start with type 1.
+    def elementary_cycles(self):
+        """Yield the elementary cycles, each rotated to start with type 1.
 
         A cycle is a length-(n+1) path using each type exactly once;
         rotating the type sequence to put type 1 first makes the start
-        vertex canonical, so there are exactly ``m * n!`` of them.
+        vertex canonical, so there are exactly ``m * n!`` of them.  They
+        are walked on demand and never stored.
         """
-        out = []
+        orders = [(1, *rest) for rest in permutations(range(2, self.n + 2))]
         for start in range(self.m):
-            for rest in permutations(range(2, self.n + 2)):
+            for order in orders:
                 cycle = []
                 v = start
-                for t in (1, *rest):
+                for t in order:
                     cycle.append((v, t))
-                    v = self.target(v, t)
+                    v = self.targets[v][t - 1]
                 assert v == start
-                out.append(tuple(cycle))
-        return tuple(out)
+                yield tuple(cycle)
 
 
 def build_mckay(embedding: LatticeEmbedding) -> McKayQuiver:
@@ -163,32 +168,43 @@ def check_arrows(quiver: McKayQuiver, arrows) -> frozenset[Arrow]:
     return frozenset(out)
 
 
-def is_cut(quiver: McKayQuiver, arrows) -> bool:
-    """True when every elementary cycle meets the arrow set exactly once."""
-    members = check_arrows(quiver, arrows)
-    for cycle in quiver.cycles:
+def first_violated_cycle(
+    cycles, members
+) -> tuple[tuple[Arrow, ...], int] | None:
+    """First cycle not met exactly once by ``members``, with its hit count.
+
+    The one walker behind every cut check; ``members`` must already be a
+    set of validated arrows.
+    """
+    for cycle in cycles:
         hits = 0
         for arrow in cycle:
             if arrow in members:
                 hits += 1
-                if hits > 1:
-                    return False
         if hits != 1:
-            return False
-    return True
+            return cycle, hits
+    return None
+
+
+def _violation(quiver: McKayQuiver, members: frozenset[Arrow]) -> str | None:
+    found = first_violated_cycle(quiver.elementary_cycles(), members)
+    if found is None:
+        return None
+    cycle, hits = found
+    path = " -> ".join(str(quiver.vertices[v]) for v, _ in cycle)
+    kind = "uncovered" if hits == 0 else f"covered {hits} times"
+    return f"elementary cycle {kind}: {path}"
+
+
+def is_cut(quiver: McKayQuiver, arrows) -> bool:
+    """True when every elementary cycle meets the arrow set exactly once."""
+    members = check_arrows(quiver, arrows)
+    return first_violated_cycle(quiver.elementary_cycles(), members) is None
 
 
 def first_cut_violation(quiver: McKayQuiver, arrows) -> str | None:
     """Human-readable description of the first violated cycle, if any."""
-    members = check_arrows(quiver, arrows)
-    for cycle in quiver.cycles:
-        hits = sum(arrow in members for arrow in cycle)
-        if hits == 1:
-            continue
-        path = " -> ".join(str(quiver.vertices[a[0]]) for a in cycle)
-        kind = "uncovered" if hits == 0 else f"covered {hits} times"
-        return f"elementary cycle {kind}: {path}"
-    return None
+    return _violation(quiver, check_arrows(quiver, arrows))
 
 
 @dataclass(frozen=True)
@@ -208,7 +224,7 @@ class Cut:
 def make_cut(quiver: McKayQuiver, arrows) -> Cut:
     """Validating constructor; raises NotACutError on a bad arrow set."""
     members = check_arrows(quiver, arrows)
-    violation = first_cut_violation(quiver, members)
+    violation = _violation(quiver, members)
     if violation is not None:
         raise NotACutError(violation)
     return Cut(quiver=quiver, arrows=members)

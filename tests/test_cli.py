@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,31 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, ["types"])
         assert code == 0
         assert json.loads(out)["hollow"] is False
+
+    def test_n6_counts_cycles_in_bounded_memory(self, write_input):
+        # m * n! = 432,000 elementary cycles: reported, never materialised
+        resource = pytest.importorskip("resource")
+        limit = 128 * 1024 * 1024
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        group = {
+            "n": 6,
+            "generators": [{"order": 600, "weights": [1, 2, 3, 4, 5, 6, 579]}],
+        }
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input(group), "analyze"],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["quiver"]["elementary_cycles"] == 432000
 
     def test_trivial_group(self, capsys, write_input):
         trivial = {"n": 2, "generators": []}

@@ -105,7 +105,7 @@ class TestConstructCut:
                 continue
             labels = vertex_labels(quiver, t)
             cut = construct_cut(quiver, t)
-            for cycle in quiver.cycles:
+            for cycle in quiver.elementary_cycles():
                 decreasing = [
                     (v, ty)
                     for v, ty in cycle

@@ -61,7 +61,7 @@ class TestHeightFromCut:
         _, emb, quiver = named_instance
         n = emb.n
         cut = make_cut(quiver, {(v, 1) for v in range(emb.m)})
-        for cycle in quiver.cycles:
+        for cycle in quiver.elementary_cycles():
             increments = sum(-n if a in cut.arrows else 1 for a in cycle)
             assert increments == 0
 

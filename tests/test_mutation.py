@@ -1,5 +1,6 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from mckaycuts.errors import UnsupportedLatticeError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import (
+    brute_force_cuts_of_type,
     enumerate_cut_lattice,
     join,
     max_element,
@@ -238,6 +240,21 @@ class TestEnumerateLattice:
         first = enumerate_cut_lattice(quiver, (1, 2, 3))
         second = enumerate_cut_lattice(quiver, (1, 2, 3))
         assert first.to_json() == second.to_json()
+
+
+class TestBruteForce:
+    def test_matches_exhaustive_oracle_on_every_simplex_point(
+        self, named_instance
+    ):
+        # admissible or not: inadmissible points must come back empty;
+        # every named instance has m <= 6, small enough to search
+        _, emb, quiver = named_instance
+        for bars in combinations_with_replacement(range(emb.m + 1), emb.n):
+            edges = (0, *bars, emb.m)
+            point = tuple(b - a for a, b in zip(edges, edges[1:]))
+            found = [c.arrows for c in brute_force_cuts_of_type(quiver, point)]
+            assert len(found) == len(set(found))
+            assert set(found) == set(all_cuts_exhaustive(quiver, point)), point
 
 
 class TestExtremes:

@@ -11,6 +11,7 @@ from mckaycuts.intlat import LatticeEmbedding
 from mckaycuts.quiver import (
     build_mckay,
     cut_quiver,
+    first_cut_violation,
     is_acyclic,
     is_cut,
     make_cut,
@@ -21,6 +22,7 @@ from mckaycuts.quiver import (
     type_of,
 )
 from conftest import instance
+from oracles import quiver_cycle_constraints
 
 
 class TestBuild:
@@ -60,25 +62,32 @@ class TestBuild:
 class TestElementaryCycles:
     def test_counts(self, named_instance):
         _, emb, quiver = named_instance
-        assert len(quiver.cycles) == emb.m * factorial(emb.n)
+        count = sum(1 for _ in quiver.elementary_cycles())
+        assert count == emb.m * factorial(emb.n)
 
     def test_trivial_group_single_cycle(self):
         quiver = build_mckay(LatticeEmbedding.identity(1))
-        assert quiver.cycles == (((0, 1), (0, 2)),)
+        assert tuple(quiver.elementary_cycles()) == (((0, 1), (0, 2)),)
 
     def test_half_11_two_cycles(self):
         _, _, quiver = instance("half_11")
-        assert set(quiver.cycles) == {
+        assert set(quiver.elementary_cycles()) == {
             ((0, 1), (1, 2)),
             ((1, 1), (0, 2)),
         }
 
     def test_each_starts_with_type_one(self, named_instance):
         _, emb, quiver = named_instance
-        for cycle in quiver.cycles:
+        for cycle in quiver.elementary_cycles():
             types = [t for _, t in cycle]
             assert types[0] == 1
             assert sorted(types) == list(range(1, emb.n + 2))
+
+    def test_matches_oracle_walk(self, named_instance):
+        _, _, quiver = named_instance
+        assert tuple(quiver.elementary_cycles()) == tuple(
+            quiver_cycle_constraints(quiver)
+        )
 
 
 class TestIsCut:
@@ -106,6 +115,7 @@ class TestIsCut:
             arrows = list(quiver.arrows())
             for subset in combinations(arrows, emb.m):
                 by_cycles = is_cut(quiver, subset)
+                assert (first_cut_violation(quiver, subset) is None) == by_cycles
                 try:
                     height_from_cut(quiver, frozenset(subset))
                     by_heights = True
