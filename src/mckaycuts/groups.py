@@ -95,25 +95,39 @@ def group_order(spec: GroupSpec) -> int:
     return embedding_from_spec(spec).m
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer, refusing floats and booleans rather than truncating."""
+    if type(value) is not int:
+        raise ValueError(f'"{field}" must hold JSON integers, got {value!r}')
+    return value
+
+
 def parse_input(obj: dict) -> tuple[LatticeEmbedding, GroupSpec | None]:
     """Load an embedding from the JSON input schema.
 
     Accepts either ``{"n": int, "generators": [{"order": int,
     "weights": [int, ...]}, ...]}`` or the direct form ``{"n": int,
-    "bprime": [[int, ...], ...]}``.
+    "bprime": [[int, ...], ...]}``.  Every number must be a JSON
+    integer; ``2.7`` or ``true`` is refused with ``ValueError``.
     """
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     if "n" not in obj:
         raise ValueError('input is missing the "n" field')
-    n = int(obj["n"])
+    n = _json_int(obj["n"], "n")
     if "bprime" in obj:
-        mat = obj["bprime"]
+        mat = [[_json_int(x, "bprime") for x in row] for row in obj["bprime"]]
         if len(mat) != n:
             raise ValueError('"bprime" must be an n x n matrix')
         return LatticeEmbedding.from_basis(mat), None
     if "generators" not in obj:
         raise ValueError('input needs either "generators" or "bprime"')
-    gens = [(entry["order"], entry["weights"]) for entry in obj["generators"]]
+    gens = [
+        (
+            _json_int(entry["order"], "order"),
+            [_json_int(w, "weights") for w in entry["weights"]],
+        )
+        for entry in obj["generators"]
+    ]
     spec = GroupSpec.make(n, gens)
     return embedding_from_spec(spec), spec

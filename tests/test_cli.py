@@ -127,6 +127,23 @@ class TestErrorPaths:
         assert code == 2
         assert "invalid weights" in err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"n": 2.7, "generators": THIRD["generators"]},
+            {"n": 2, "generators": [{"order": 3.9, "weights": [1, 1, 1]}]},
+            {"n": 2, "generators": [{"order": 3, "weights": [1.5, 1, 1]}]},
+            {"n": 2, "bprime": [[1.5, 0], [0, 3]]},
+            {"n": True, "generators": [{"order": 2, "weights": [1, 1]}]},
+        ],
+        ids=["float_n", "float_order", "float_weight", "float_bprime", "bool_n"],
+    )
+    def test_non_integer_numbers_exit_2(self, capsys, write_input, bad):
+        code, out, err = run_cli(capsys, ["--input", write_input(bad), "types"])
+        assert code == 2
+        assert out == ""
+        assert "JSON integers" in err
+
     def test_oversized_exits_3(self, capsys, write_input):
         big = {"n": 1, "generators": [{"order": 9, "weights": [1, 8]}]}
         code, _, err = run_cli(

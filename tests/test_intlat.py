@@ -1,7 +1,7 @@
 """Exact linear algebra: normal forms, coset reduction, membership, orders."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mckaycuts.errors import SingularMatrixError
@@ -216,3 +216,29 @@ class TestEmbeddingConstruction:
         emb = LatticeEmbedding.from_basis([(1, 0), (2, 3)])
         assert emb.m == 3
         assert emb.hnf == ((3, 2), (0, 1))
+
+
+class TestSympyCrossCheck:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_hnf_and_snf_match_sympy(self, rows):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+
+        mat = as_matrix(rows)
+        assume(det(mat) != 0)
+        size = len(rows)
+        expected = hermite_normal_form(sympy.Matrix(rows))
+        assert hnf(mat)[0] == tuple(map(tuple, expected.tolist()))
+        smith = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert [abs(snf(mat)[0][i][i]) for i in range(size)] == [
+            abs(smith[i, i]) for i in range(size)
+        ]
