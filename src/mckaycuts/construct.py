@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from .groups import _json_int
 from .intlat import LatticeEmbedding
 from .quiver import Cut, McKayQuiver, Subquiver, cut_quiver, type_of
 from .typesimplex import require_admissible
@@ -99,9 +100,15 @@ def cut_to_json(cut: Cut) -> dict:
 
 
 def cut_from_json(quiver: McKayQuiver, obj: dict) -> frozenset[tuple[int, int]]:
-    """Arrow set from the cut JSON format (not validated as a cut)."""
+    """Arrow set from the cut JSON format (not validated as a cut).
+
+    Every ``source`` entry and ``arrow_type`` must be a JSON integer;
+    anything else is refused with ``ValueError``.
+    """
     arrows = set()
     for entry in obj["arrows"]:
-        rep = quiver.embedding.reduce(tuple(entry["source"]))
-        arrows.add((quiver.index[rep], int(entry["arrow_type"])))
+        source = tuple(_json_int(c, "source") for c in entry["source"])
+        rep = quiver.embedding.reduce(source)
+        arrow_type = _json_int(entry["arrow_type"], "arrow_type")
+        arrows.add((quiver.index[rep], arrow_type))
     return frozenset(arrows)

@@ -9,6 +9,7 @@ so the embedding is computed once and the group is forgotten.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NonFaithfulSpecError
@@ -30,14 +31,15 @@ class GroupSpec:
 
     @classmethod
     def make(cls, n: int, generators) -> "GroupSpec":
+        n = operator.index(n)
         if n < 1:
             raise ValueError("dimension parameter n must be at least 1")
         gens = []
         for order, weights in generators:
-            order = int(order)
+            order = operator.index(order)
             if order < 1:
                 raise ValueError("generator order must be a positive integer")
-            weights = tuple(int(w) for w in weights)
+            weights = tuple(operator.index(w) for w in weights)
             if len(weights) != n + 1:
                 raise ValueError(
                     f"generator weights must have length n+1 = {n + 1}"

@@ -9,6 +9,7 @@ determinant, held in a canonical column-style `Hermite normal form
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -19,8 +20,12 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows) -> Matrix:
-    """Freeze a nested iterable of ints into a Matrix, validating shape."""
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    """Freeze a nested iterable of ints into a Matrix, validating shape.
+
+    Entries must be integers; a float raises ``TypeError`` rather than
+    being truncated.
+    """
+    mat = tuple(tuple(operator.index(x) for x in row) for row in rows)
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged rows in matrix input")
     return mat

@@ -94,6 +94,18 @@ class TestAnalyze:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["quiver"]["elementary_cycles"] == 432000
 
+    def test_largest_accepted_input(self, capsys, write_input):
+        # n = 6, m = 5000 is the largest n = 6 group under the default --max-m
+        group = {
+            "n": 6,
+            "generators": [{"order": 5000, "weights": [1, 2, 3, 4, 5, 6, 4979]}],
+        }
+        code, out, _ = run_cli(capsys, ["--input", write_input(group), "analyze"])
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["types"]["types"]) == 245
+        assert len(payload["types"]["positive"]) == 238
+
     def test_trivial_group(self, capsys, write_input):
         trivial = {"n": 2, "generators": []}
         code, out, _ = run_cli(capsys, ["--input", write_input(trivial), "analyze"])
@@ -143,6 +155,25 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "JSON integers" in err
+
+    @pytest.mark.parametrize(
+        "arrows",
+        [
+            # truncated, these arrow types give a valid cut of type (1, 1, 1)
+            [{"source": [2, 0], "arrow_type": t} for t in (1.5, 2.5, 3.5)],
+            [{"source": [2.0, 0], "arrow_type": t} for t in (1, 2, 3)],
+            [{"source": [2, 0], "arrow_type": t} for t in (True, 2, 3)],
+        ],
+        ids=["float_arrow_type", "float_source", "bool_arrow_type"],
+    )
+    def test_non_integer_cut_file_exits_2(self, capsys, write_input, arrows):
+        cut = write_input({"type": [1, 1, 1], "arrows": arrows}, name="cut.json")
+        code, out, err = run_cli(
+            capsys, ["--input", write_input(THIRD), "verify", "--cut", cut]
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed cut file" in err
 
     def test_oversized_exits_3(self, capsys, write_input):
         big = {"n": 1, "generators": [{"order": 9, "weights": [1, 8]}]}

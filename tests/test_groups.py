@@ -73,6 +73,20 @@ class TestEmbeddingFromSpec:
         with pytest.raises(ValueError, match="length"):
             GroupSpec.make(2, [(3, (1, 1))])
 
+    @pytest.mark.parametrize(
+        "n, generators",
+        [
+            (2, [(3.9, (1, 1, 1))]),
+            (2, [(3, (1.2, 1, 1))]),
+            (2.0, [(3, (1, 1, 1))]),
+        ],
+        ids=["float_order", "float_weight", "float_n"],
+    )
+    def test_non_integers_rejected(self, n, generators):
+        # each truncates to a valid description of 1/3(1, 1, 1)
+        with pytest.raises(TypeError):
+            GroupSpec.make(n, generators)
+
     def test_redundant_generators_rejected(self):
         spec = GroupSpec.make(2, [(2, (1, 1, 0)), (2, (1, 1, 0))])
         with pytest.raises(NonFaithfulSpecError, match="stated group order 4"):

@@ -212,6 +212,11 @@ class TestEmbeddingConstruction:
         with pytest.raises(SingularMatrixError):
             LatticeEmbedding.from_basis([(1, 2), (2, 4)])
 
+    def test_non_integer_entries_rejected(self):
+        # truncates to an index-3 lattice
+        with pytest.raises(TypeError):
+            LatticeEmbedding.from_basis([[1.5, 0], [0, 3]])
+
     def test_determinant_is_index(self):
         emb = LatticeEmbedding.from_basis([(1, 0), (2, 3)])
         assert emb.m == 3

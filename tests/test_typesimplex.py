@@ -4,7 +4,11 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mckaycuts.errors import NonFaithfulSpecError
+from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.intlat import LatticeEmbedding, mat_mul
 from mckaycuts.typesimplex import (
     enumerate_types,
@@ -12,6 +16,7 @@ from mckaycuts.typesimplex import (
     is_admissible_type,
     juniors_cyclic,
     monomial_degree,
+    require_admissible,
     trivial_types,
 )
 from conftest import instance
@@ -93,6 +98,66 @@ class TestEnumerateTypes:
                 assert other_report.all_types == report.all_types
 
 
+def random_group(rng):
+    """A faithful diagonal group: 1-3 generators, n <= 3, order <= 40."""
+    while True:
+        n = rng.randint(1, 3)
+        gens, bound = [], 40
+        for _ in range(rng.randint(1, 3)):
+            order = rng.randint(1, bound)
+            bound //= order
+            weights = [rng.randrange(order) for _ in range(n)]
+            gens.append((order, (*weights, -sum(weights) % order)))
+        try:
+            return embedding_from_spec(GroupSpec.make(n, gens))
+        except NonFaithfulSpecError:
+            continue
+
+
+class TestCongruenceStep:
+    """The congruence-stepping search against the simplex scan.
+
+    The HNF diagonal of a cyclic group starts with m itself (a = 0 mod
+    m), and groups such as (Z/2)^2 have diagonal entries sharing a
+    factor with m, so both special cases of the step are drawn.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_brute_force_on_random_groups(self, rng):
+        emb = random_group(rng)
+        assert list(enumerate_types(emb).all_types) == brute_force_types(emb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_brute_force_on_other_bases(self, rng):
+        emb = random_group(rng)
+        u = random_unimodular(emb.n, rng) if emb.n > 1 else ((1,),)
+        other = LatticeEmbedding.from_basis(mat_mul(emb.bprime, u))
+        assert list(enumerate_types(other).all_types) == brute_force_types(other)
+
+    @pytest.mark.parametrize(
+        "n, order, weights, count",
+        [
+            (2, 2000, (1, 5, 1994), 1005),
+            (6, 5000, (1, 2, 3, 4, 5, 6, 4979), 245),
+        ],
+        ids=["n2_m2000", "n6_m5000"],
+    )
+    def test_large_cyclic_groups_match_juniors(self, n, order, weights, count):
+        spec = GroupSpec.make(n, [(order, weights)])
+        emb = embedding_from_spec(spec)
+        report = enumerate_types(emb)
+        assert len(report.all_types) == count
+        vertices = set(trivial_types(emb))
+        non_vertex = [t for t in report.all_types if t not in vertices]
+        assert non_vertex == sorted(juniors_cyclic(spec))
+
+    def test_coordinate_order_keeps_count(self):
+        spec = GroupSpec.make(2, [(2000, (5, 1, 1994))])
+        assert len(enumerate_types(embedding_from_spec(spec)).all_types) == 1005
+
+
 class TestHasPreprojectiveCut:
     def test_trivial_group_empty(self):
         assert has_preprojective_cut(LatticeEmbedding.identity(2)) is None
@@ -171,3 +236,11 @@ class TestAdmissibility:
         assert not is_admissible_type(emb, (2, 2, 2))
         assert not is_admissible_type(emb, (1, 2, 2))  # wrong sum
         assert not is_admissible_type(emb, (7, 2, -3))  # negative entry
+
+    def test_non_integer_entries_rejected(self):
+        # (1.5, 1, 1) truncates to the admissible (1, 1, 1)
+        _, emb, _ = instance("third_111")
+        with pytest.raises(TypeError):
+            is_admissible_type(emb, (1.5, 1, 1))
+        with pytest.raises(TypeError):
+            require_admissible(emb, (1.5, 1, 1))
