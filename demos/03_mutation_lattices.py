@@ -5,9 +5,10 @@ of a fixed positive type form a finite distributive lattice, covers are
 exactly the mutations away from the origin, and the maximum can be
 found greedily or built directly from its height function.
 
-Then an open-ended experiment for a nonpositive type, where mutation is
-unavailable: we enumerate the lattice by exhaustive search and compare
-its maximum with the direct height construction.  No theorem promises
+Then an open-ended experiment for a nonpositive type, where covers
+move whole classes of vertices rather than single ones: the same walk
+enumerates the lattice by class moves, and we compare its maximum with
+the direct height construction.  No theorem promises
 they agree in general; for the instances below they do.  Nothing here
 is asserted; the package never relies on this agreement.
 """
@@ -47,7 +48,7 @@ for label, n, gens, cut_type in [
     print(f"  min cut arrows: {min_element(quiver, cut_type).sorted_arrows()}")
 
 print()
-print("EXPERIMENT: nonpositive types (no mutations available)")
+print("EXPERIMENT: nonpositive types (covers move classes of vertices)")
 print("=" * 64)
 for label, n, gens in [
     ("1/4(1,1,2)", 2, [(4, (1, 1, 2))]),
@@ -62,10 +63,10 @@ for label, n, gens in [
         if len(lattice.cuts) == 1:
             continue
         direct = max_via_p(quiver, cut_type)
-        brute_max = lattice.cuts[lattice.max_index]
-        agree = direct.arrows == brute_max.arrows
+        lattice_max = lattice.cuts[lattice.max_index]
+        agree = direct.arrows == lattice_max.arrows
         print(f"\n{label}, nonpositive type {cut_type}: "
-              f"{len(lattice.cuts)} cuts (exhaustive search)")
+              f"{len(lattice.cuts)} cuts (class moves)")
         print(f"  v-vectors: {lattice.v_vectors}")
         print(f"  direct height construction lands on the lattice maximum: "
               f"{agree}")

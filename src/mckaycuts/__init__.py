@@ -4,8 +4,9 @@ The package starts from a diagonal abelian subgroup (or directly from a
 cofinite sublattice of Z^n), builds the McKay quiver as a Cayley graph,
 classifies the admissible cut types, constructs a cut of every type,
 converts between cuts and equivariant height functions, and enumerates
-the finite distributive lattice of cuts of a fixed positive type under
-mutation, including its extremal elements.
+the finite distributive lattice of cuts of any fixed type by moves on
+height vectors (mutations, for a positive type), including the
+extremal elements of a positive type.
 """
 
 from .construct import (

@@ -3,7 +3,7 @@
 Subcommands: analyze | types | construct | lattice | extremes | verify |
 export-dot.  Input is a JSON group description via --input or stdin.
 Exit codes: 0 ok, 1 verification failures, 2 malformed input, 3
-unsupported size, 4 inadmissible type, 5 unsupported lattice request.
+unsupported size, 4 inadmissible type, 5 unsupported extremes request.
 """
 
 from __future__ import annotations
@@ -155,18 +155,10 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def _lattice(args, embedding, quiver):
-    cut_type = _require_type(args, embedding)
-    try:
-        return enumerate_cut_lattice(quiver, cut_type, brute_budget=args.budget)
-    except UnsupportedLatticeError as exc:
-        raise _CliError(EXIT_UNSUPPORTED, str(exc)) from exc
-
-
 def _cmd_lattice(args) -> int:
     embedding, _ = _load(args)
     quiver = build_mckay(embedding)
-    lattice = _lattice(args, embedding, quiver)
+    lattice = enumerate_cut_lattice(quiver, _require_type(args, embedding))
     if args.format == "dot":
         _emit(lattice.hasse_dot())
     else:
@@ -182,9 +174,7 @@ def _cmd_extremes(args) -> int:
         greedy_max = max_element(quiver, cut_type)
         greedy_min = min_element(quiver, cut_type)
         via_p = max_via_p(quiver, cut_type)
-    except UnsupportedLatticeError as exc:
-        raise _CliError(EXIT_UNSUPPORTED, str(exc)) from exc
-    except SearchBoundExceededError as exc:
+    except (UnsupportedLatticeError, SearchBoundExceededError) as exc:
         raise _CliError(EXIT_UNSUPPORTED, str(exc)) from exc
     _emit(
         {
@@ -227,7 +217,7 @@ def _cmd_export_dot(args) -> int:
         cut_type = _require_type(args, embedding)
         _emit(quiver_to_dot(quiver, construct_cut(quiver, cut_type)))
         return EXIT_OK
-    lattice = _lattice(args, embedding, quiver)
+    lattice = enumerate_cut_lattice(quiver, _require_type(args, embedding))
     _emit(lattice.hasse_dot())
     return EXIT_OK
 
@@ -269,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice = sub.add_parser("lattice", help="the mutation lattice of a type")
     p_lattice.add_argument("--type", required=True)
     p_lattice.add_argument("--format", choices=("json", "dot"), default="json")
-    p_lattice.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
 
     p_extremes = sub.add_parser("extremes", help="maximal and minimal cuts")
     p_extremes.add_argument("--type", required=True)
@@ -281,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot = sub.add_parser("export-dot", help="DOT output for graphviz")
     p_dot.add_argument("what", choices=("quiver", "cut", "hasse"))
     p_dot.add_argument("--type")
-    p_dot.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
 
     return parser
 

@@ -19,6 +19,7 @@ Cut -> height, height -> cut and the lattice walk in
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -34,11 +35,11 @@ def h_gamma(embedding: LatticeEmbedding, y, cut_type) -> int:
     result means the type vector is not a valid cut type for this
     embedding, and ``y`` outside L1 is rejected.
     """
-    y = tuple(int(c) for c in y)
+    y = tuple(map(operator.index, y))
     if not embedding.in_sublattice(y):
         raise ValueError(f"{y} is not in the sublattice")
     n, m = embedding.n, embedding.m
-    cut_type = tuple(int(g) for g in cut_type)
+    cut_type = tuple(map(operator.index, cut_type))
     if len(cut_type) != n + 1:
         raise ValueError(f"type vector must have length {n + 1}")
     numerator = m * sum(y) - (n + 1) * sum(a * b for a, b in zip(y, cut_type))
@@ -85,7 +86,7 @@ class HeightFunction:
 
     def value_at(self, x) -> int:
         """Evaluate at any lattice point via equivariance."""
-        x = tuple(int(c) for c in x)
+        x = tuple(map(operator.index, x))
         rep = self.embedding.reduce(x)
         coeffs = self.embedding.l1_coefficients(
             tuple(a - b for a, b in zip(x, rep))

@@ -244,6 +244,8 @@ class LatticeEmbedding:
     ``bprime`` holds the basis the embedding was built from (columns are
     basis vectors, determinant ``m > 0``); ``hnf`` caches its canonical
     Hermite normal form, which is what all coset arithmetic uses.
+    Vector arguments must hold integers; a float raises ``TypeError``
+    rather than being truncated.
     """
 
     n: int
@@ -290,7 +292,7 @@ class LatticeEmbedding:
         upward; the result lies in the box ``prod_i [0, hnf[i][i])``, so
         two vectors reduce equal exactly when they differ by L1.
         """
-        x = tuple(int(c) for c in x)
+        x = tuple(map(operator.index, x))
         self._check_dim(x)
         rem = list(x)
         for i in range(self.n - 1, -1, -1):
@@ -306,7 +308,7 @@ class LatticeEmbedding:
 
     def l1_coefficients(self, y) -> Vec | None:
         """Coefficients of ``y`` in the HNF basis, or None if ``y`` is not in L1."""
-        y = tuple(int(c) for c in y)
+        y = tuple(map(operator.index, y))
         self._check_dim(y)
         return _solve_upper(self.hnf, y)
 
@@ -315,7 +317,7 @@ class LatticeEmbedding:
 
     def element_order(self, x) -> int:
         """Order of ``x + L1`` in L0/L1; always a divisor of m."""
-        x = tuple(int(c) for c in x)
+        x = tuple(map(operator.index, x))
         self._check_dim(x)
         for order in sorted(
             d for d in range(1, self.m + 1) if self.m % d == 0

@@ -2,28 +2,31 @@
 
 Mutating a cut at a source (sink) of its cut quiver swaps the cut
 status of the arrows at that vertex and raises (lowers) the height
-function there by n+1.  Identifying each cut with its relative height
-vector turns the cuts of a fixed positive type into a finite
-distributive sublattice of Z^m whose cover relations are exactly the
-mutations away from the origin vertex; closing any seed cut under
-nonzero mutations therefore enumerates the whole lattice.
+function there by n+1.  Identifying each cut with its height vector
+relative to a seed cut of the same type turns the cuts of any
+admissible type into a finite distributive sublattice of Z^m: the
+integer points of one difference constraint per arrow (the height
+picture of Propp, "Lattice structure for orientations of graphs",
+arXiv:math/0209005).
 
-The lattice walk and the greedy extremes run on integer height vectors
-rather than on arrow sets (the push-one-vertex walk of Propp, "Lattice
-structure for orientations of graphs", arXiv:math/0209005).  The height
-of the seed cut is computed once.  Vertex x is a source of the cut
-quiver when every arrow out of x steps +1 and every arrow into x steps
--n, a sink when the signs are swapped, and mutating there adds (or
-subtracts) n+1 to ``h[x]``.  Cuts are read off the final heights with
-the same step check as :func:`mckaycuts.heights.cut_from_height`.
-``mutable_vertices``, ``mutate_source``/``mutate_sink`` and
-``relative_height_vector`` remain as the cut-level API.
+One walk enumerates every type.  It runs on integer height vectors,
+starting from the seed's height, computed once.  Arrows of a type with
+count 0 are never cut, so heights are constant along them and the walk
+moves whole classes (connected components of those arrows) by n+1: up
+when every arrow out of the class steps +1 and every arrow into it
+steps -n, down when the signs are swapped.  For a positive type every
+class is a single vertex and the moves are exactly the mutations at
+nonzero sources and sinks, which are the covers of the lattice.  Cuts
+are read off the final heights with the same step check as
+:func:`mckaycuts.heights.cut_from_height`.  ``mutable_vertices``,
+``mutate_source``/``mutate_sink`` and ``relative_height_vector`` remain
+as the cut-level API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 from .construct import construct_cut, cut_to_json
 from .errors import SearchBoundExceededError, UnsupportedLatticeError
@@ -39,7 +42,6 @@ from .quiver import (
     Cut,
     McKayQuiver,
     cut_quiver,
-    first_violated_cycle,
     sinks,
     sources,
     type_of,
@@ -163,30 +165,6 @@ class MutationLattice:
         return "\n".join(lines) + "\n"
 
 
-def brute_force_cuts_of_type(quiver: McKayQuiver, cut_type) -> list[Cut]:
-    """Exhaustive search over arrow subsets with the given type counts.
-
-    Works for any nonnegative counts summing to m, admissible or not;
-    for inadmissible counts the result is provably empty, which is what
-    the verification harness checks.  The elementary cycles are walked
-    once per call and every candidate subset is tested against them.
-    """
-    cut_type = tuple(int(g) for g in cut_type)
-    by_type = [
-        [(v, t) for v in range(quiver.m)] for t in quiver.types
-    ]
-    pools = [
-        list(combinations(by_type[t - 1], cut_type[t - 1])) for t in quiver.types
-    ]
-    cycles = tuple(quiver.elementary_cycles())
-    found = []
-    for chosen in product(*pools):
-        arrows = frozenset(a for group in chosen for a in group)
-        if first_violated_cycle(cycles, arrows) is None:
-            found.append(Cut(quiver=quiver, arrows=arrows))
-    return found
-
-
 def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
     """Index of the componentwise max (or min); a member by lattice closure."""
     target = tuple(extreme(coords) for coords in zip(*vectors))
@@ -197,113 +175,142 @@ def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
 
 
 class _HeightSteps:
-    """Source and sink tests on the height vectors of one cut type."""
+    """Class moves on the height vectors of one cut type.
 
-    def __init__(self, quiver: McKayQuiver, l1_values) -> None:
+    A class is a connected component of the arrows whose type has count
+    0; those arrows are never cut, so heights move a whole class at once.
+    Every class is a single vertex when the type is positive.  Class 0
+    holds the origin and never moves.
+    """
+
+    def __init__(self, quiver: McKayQuiver, l1_values, cut_type) -> None:
         lifts = quiver.arrow_lifts(l1_values)
+        zero = [t - 1 for t in quiver.types if cut_type[t - 1] == 0]
+        # Each count-0 arrow lies on a cycle of its own type, so following
+        # out-arrows alone finds the components.
+        label = [-1] * quiver.m
+        members = []
+        for start in range(quiver.m):
+            if label[start] < 0:
+                label[start] = len(members)
+                group = [start]
+                for v in group:
+                    for w in (quiver.targets[v][t] for t in zero):
+                        if label[w] < 0:
+                            label[w] = label[start]
+                            group.append(w)
+                members.append(tuple(group))
+        # Arrows crossing each class boundary, as (tail, head, lift).
+        self.out = [[] for _ in members]
+        self.into = [[] for _ in members]
+        for u, row in enumerate(quiver.targets):
+            for w, lift in zip(row, lifts[u]):
+                if label[u] != label[w]:
+                    self.out[label[u]].append((u, w, lift))
+                    self.into[label[w]].append((u, w, lift))
         self.quiver = quiver
         self.lifts = lifts
-        self.out = tuple(
-            tuple(zip(row, lifts[v])) for v, row in enumerate(quiver.targets)
-        )
-        self.into = tuple(
-            tuple((u, lifts[u][t - 1]) for u, t in quiver.in_arrows(v))
-            for v in range(quiver.m)
-        )
+        self.rise = quiver.n + 1
+        self.members = tuple(members)
 
-    def direction(self, h, x: int) -> int:
-        """+1 if x is a source of the cut quiver, -1 if a sink, else 0.
+    def direction(self, h, c: int) -> int:
+        """+1 if class c can rise by n+1, -1 if it can fall, else 0.
 
-        A source has every out-arrow step +1 (kept) and every in-arrow
-        step -n (cut); a sink the reverse.  A loop steps the same way
-        in and out, so a vertex with a loop is neither.
+        It can rise when every arrow out of it steps +1 and every arrow
+        into it steps -n, and fall in the reverse case; for a single
+        vertex these are a source and a sink of the cut quiver.  Arrows
+        inside the class, loops included, keep their steps.
         """
-        n = self.quiver.n
-        hx = h[x]
-        out = self.out[x]
-        head, head_lift = out[0]
-        first = h[head] + head_lift - hx
-        if first == 1:
-            up, down = 1, -n
-        elif first == -n:
-            up, down = -n, 1
-        else:
-            return 0
-        if all(h[w] + lift - hx == up for w, lift in out) and all(
-            hx + lift - h[u] == down for u, lift in self.into[x]
+        u, w, lift = self.out[c][0]
+        up = h[w] + lift - h[u]
+        down = 1 - self.quiver.n - up  # steps are +1 and -n
+        if all(h[w] + lift - h[u] == up for u, w, lift in self.out[c]) and all(
+            h[w] + lift - h[u] == down for u, w, lift in self.into[c]
         ):
             return 1 if up == 1 else -1
         return 0
+
+    def moved(self, h, c: int, sign: int) -> tuple[int, ...]:
+        out = list(h)
+        for x in self.members[c]:
+            out[x] += sign * self.rise
+        return tuple(out)
 
     def cut(self, h) -> Cut:
         return Cut(quiver=self.quiver, arrows=drops(self.quiver, h, self.lifts))
 
 
 def _walk_lattice(steps: _HeightSteps, start: Vec):
-    """Close a height vector under nonzero source and sink mutations.
+    """Close a height vector under moves of the classes other than 0.
 
-    Returns the set of heights reached and the covers as
-    ``(lower, upper, vertex)`` triples of heights.  Each cover is a
-    source mutation of its lower end, so recording only those lists it
-    exactly once.
+    Returns the set of heights reached and the rises as ``(lower,
+    upper, vertex)`` triples of heights, the vertex being the first
+    member of the class that moved.  Each rise is recorded once, from
+    its lower end.
     """
-    rise = steps.quiver.n + 1
-    vertices = range(1, steps.quiver.m)
+    classes = range(1, len(steps.members))
     seen = {start}
     stack = [start]
-    covers = []
+    rises = []
     while stack:
         h = stack.pop()
-        for x in vertices:
-            sign = steps.direction(h, x)
+        for c in classes:
+            sign = steps.direction(h, c)
             if not sign:
                 continue
-            moved = list(h)
-            moved[x] += sign * rise
-            moved = tuple(moved)
+            moved = steps.moved(h, c, sign)
             if sign > 0:
-                covers.append((h, moved, x))
+                rises.append((h, moved, steps.members[c][0]))
             if moved not in seen:
                 seen.add(moved)
                 stack.append(moved)
-    return seen, covers
+    return seen, rises
 
 
-def enumerate_cut_lattice(
-    quiver: McKayQuiver, cut_type, brute_budget: int = 6
-) -> MutationLattice:
-    """The full lattice of cuts of one type.
+def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
+    """The full lattice of cuts of one admissible type.
 
-    Positive types are enumerated by closing the height vector of a
-    constructed seed cut under nonzero source and sink mutations, which
-    is complete because mutations realise all cover relations.
-    Nonpositive types have no mutable vertices, so they fall back to
-    exhaustive subset search, which is refused beyond ``brute_budget``
-    (an upper bound on m).
+    Write g for the type and let v be a cut's height vector relative to
+    the constructed seed cut s.  The cuts of type g are exactly the
+    integer vectors with ``v[0] = 0`` and, along every non-loop arrow
+    u -> w, ``v[w] - v[u]`` in {0, 1} if s cuts the arrow and in
+    {-1, 0} otherwise: adding (n+1)*v keeps the L1 values, hence the
+    type, and keeps each step at +1 or -n.  An arrow of a type with
+    g_t = 0 is never cut and its orbit is a cycle, so v is constant on
+    each class (a component of those arrows).  The set is closed under
+    componentwise min and max, so it is a distributive lattice.
+
+    Every cover a < b moves one class by one.  With T the classes where
+    b - a is largest, a + 1_T lies in the set, so b = a + 1_T.  If no
+    single class of T could move, each would be blocked by another
+    class of T: a cut arrow out of it or an uncut arrow into it.
+    Following blockers, joined inside classes by arrows with g_t = 0,
+    gives a nonempty closed walk.  It lifts to a path x -> x + y with
+    y = sum c_t alpha_t in L1, c_t counting type-t arrows walked forward
+    minus backward.  Its height change is h_gamma(y) = sum c_t -
+    (n+1)/m sum c_t g_t, and also sum c_t - (n+1) (cut arrows walked
+    forward minus backward).  Hence the sum of g_t - m over the forward
+    cut crossings equals the sum of g_t over the backward uncut ones.
+    Every term on the left is <= 0 and every term on the right > 0, so
+    the walk only crosses cut arrows of a type with g_t = m.  Then the
+    other n types have count 0 and link every vertex into class 0,
+    which never moves, so T is empty.  The walk from the seed through
+    single class moves, down to a meet and up again, reaches every cut.
+
+    For a positive type each class is one vertex, its moves are the
+    mutations at nonzero sources and sinks, and each cover is a Hasse
+    edge.  Nonpositive types report no Hasse edges, because their
+    covers move whole classes rather than single vertices.
     """
-    embedding = quiver.embedding
-    cut_type = require_admissible(embedding, cut_type)
-    seed = construct_cut(quiver, cut_type)
-    seed_height = height_from_cut(quiver, seed)
-    if all(g > 0 for g in cut_type):
-        steps = _HeightSteps(quiver, seed_height.l1_values)
-        heights, covers = _walk_lattice(steps, seed_height.values)
-        by_height = {h: steps.cut(h) for h in heights}
-        assert all(type_of(c) == cut_type for c in by_height.values())
-    else:
-        if quiver.m > brute_budget:
-            raise UnsupportedLatticeError(
-                f"nonpositive type {cut_type} needs exhaustive search, "
-                f"unsupported beyond m = {brute_budget}"
-            )
-        by_height = {
-            height_from_cut(quiver, c).values: c
-            for c in brute_force_cuts_of_type(quiver, cut_type)
-        }
-        covers = []
-    rise = quiver.n + 1
+    cut_type = require_admissible(quiver.embedding, cut_type)
+    seed_height = height_from_cut(quiver, construct_cut(quiver, cut_type))
+    steps = _HeightSteps(quiver, seed_height.l1_values, cut_type)
+    heights, rises = _walk_lattice(steps, seed_height.values)
+    by_height = {h: steps.cut(h) for h in heights}
+    assert all(type_of(c) == cut_type for c in by_height.values())
+    covers = rises if all(g > 0 for g in cut_type) else ()
     vectors = {
-        h: _relative(h, seed_height.values, rise) for h in by_height
+        h: _relative(h, seed_height.values, steps.rise) for h in by_height
     }
     ordered = sorted(by_height, key=vectors.__getitem__)
     order = {h: i for i, h in enumerate(ordered)}
@@ -332,18 +339,15 @@ def _greedy_extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
     """Mutate the lowest nonzero source (sign +1) or sink (sign -1) until none is left."""
     cut_type = _require_positive(quiver, cut_type)
     seed_height = height_from_cut(quiver, construct_cut(quiver, cut_type))
-    steps = _HeightSteps(quiver, seed_height.l1_values)
-    h = list(seed_height.values)
-    rise = sign * (quiver.n + 1)
+    steps = _HeightSteps(quiver, seed_height.l1_values, cut_type)
+    h = seed_height.values
+    classes = range(1, len(steps.members))
     for _ in range(10_000 * quiver.m):
-        x = next(
-            (x for x in range(1, quiver.m) if steps.direction(h, x) == sign),
-            None,
-        )
+        x = next((c for c in classes if steps.direction(h, c) == sign), None)
         if x is None:
             assert steps.direction(h, 0) == sign
             return steps.cut(h)
-        h[x] += rise
+        h = steps.moved(h, x, sign)
     kind = "source" if sign > 0 else "sink"
     raise AssertionError(f"{kind} mutation failed to terminate")
 

@@ -14,6 +14,7 @@ scans them with the one walker ``first_violated_cycle``, and the
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
@@ -161,10 +162,10 @@ def build_mckay(embedding: LatticeEmbedding) -> McKayQuiver:
 def check_arrows(quiver: McKayQuiver, arrows) -> frozenset[Arrow]:
     out = set()
     for arrow in arrows:
-        v, t = arrow
+        v, t = map(operator.index, arrow)
         if not (0 <= v < quiver.m and 1 <= t <= quiver.n + 1):
             raise NotACutError(f"unknown arrow {arrow!r}")
-        out.add((int(v), int(t)))
+        out.add((v, t))
     return frozenset(out)
 
 

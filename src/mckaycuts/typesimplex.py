@@ -146,7 +146,7 @@ def monomial_degree(embedding: LatticeEmbedding, exponents, cut_type) -> int:
     ``<e, type> / m``, and integrality is guaranteed for valid input.
     """
     n, m = embedding.n, embedding.m
-    exponents = tuple(int(e) for e in exponents)
+    exponents = tuple(map(operator.index, exponents))
     if len(exponents) != n + 1:
         raise ValueError(f"exponent vector must have length {n + 1}")
     diff = tuple(e - exponents[n] for e in exponents[:n])

@@ -5,16 +5,22 @@ exhaustive subset oracle are skipped with a notice when the group order
 exceeds the budget.  The harness is what the ``verify`` CLI subcommand
 runs, and doubles as a self-test for user-provided cut files.
 
+The exhaustive subset search, ``brute_force_cuts_of_type``, lives here:
+the oracle and the divisibility check are its only callers.
+
 The mutation-lattice check works on v-vectors: each cut's relative
-height must match its vector, each Hasse edge must be a unit step up,
-and one pass over all pairs asserts closure under componentwise min/max
-and an edge up from each pair's min.  Per type: 2|L| height functions
-and O(|L|^2 m) integer operations.
+height must match its vector and each Hasse edge must be a unit step
+up.  Difference constraints built from the first cut's arrow set, not
+from the walk that produced the lattice, must hold for every vector;
+every feasible unit step a +- e_x of a member must be a member, and
+every feasible a + e_x a Hasse edge.  Per type: 2|L| height functions
+and O(|L| m (n+1)) integer operations.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+import operator
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
 
 from .construct import construct_cut
@@ -22,7 +28,6 @@ from .groups import GroupSpec
 from .heights import cut_from_height, h_gamma, height_from_cut
 from .intlat import LatticeEmbedding
 from .mutation import (
-    brute_force_cuts_of_type,
     enumerate_cut_lattice,
     max_element,
     max_via_p,
@@ -32,9 +37,11 @@ from .mutation import (
 )
 from .quiver import (
     Cut,
+    McKayQuiver,
     build_mckay,
     cut_quiver,
     first_cut_violation,
+    first_violated_cycle,
     is_acyclic,
     is_cut,
     sources,
@@ -54,6 +61,30 @@ def _simplex_points(n: int, m: int):
     for bars in combinations_with_replacement(range(m + 1), n):
         cuts = (0, *bars, m)
         yield tuple(cuts[i + 1] - cuts[i] for i in range(n + 1))
+
+
+def brute_force_cuts_of_type(quiver: McKayQuiver, cut_type) -> list[Cut]:
+    """Exhaustive search over arrow subsets with the given type counts.
+
+    Works for any nonnegative counts summing to m, admissible or not;
+    for inadmissible counts the result is provably empty, which is what
+    the harness checks.  The elementary cycles are walked once per call
+    and every candidate subset is tested against them.
+    """
+    cut_type = tuple(map(operator.index, cut_type))
+    by_type = [
+        [(v, t) for v in range(quiver.m)] for t in quiver.types
+    ]
+    pools = [
+        list(combinations(by_type[t - 1], cut_type[t - 1])) for t in quiver.types
+    ]
+    cycles = tuple(quiver.elementary_cycles())
+    found = []
+    for chosen in product(*pools):
+        arrows = frozenset(a for group in chosen for a in group)
+        if first_violated_cycle(cycles, arrows) is None:
+            found.append(Cut(quiver=quiver, arrows=arrows))
+    return found
 
 
 class _Report:
@@ -233,16 +264,37 @@ def run_verification(
                 a = vecs[lo]
                 assert vecs[hi] == (*a[:x], a[x] + 1, *a[x + 1 :]), (lo, hi, x)
                 up[lo, x] = hi
-            # Each edge is a unit step up, hence a cover.  Conversely, for a
-            # cover a < b the pair loop below finds an edge from min(a, b) = a
-            # to a + e_x with a[x] < b[x]; a + e_x <= b forces it to be b.
-            # So the edges are exactly the covers.
+            # Built from cuts[0] alone: a vector a belongs to a cut of this
+            # type iff a[0] = base[0] and every non-loop arrow u -> w keeps
+            # (a[w] - a[u]) - (base[w] - base[u]) in {0, 1} if cuts[0] cuts
+            # it and in {-1, 0} if not, so that every step stays +1 or -n.
+            # near[x] lists these as c <= a[x] - a[y] <= c + 1.  The feasible
+            # set F is closed under componentwise min and max, and for a
+            # positive type every cover in F is a unit step a -> a + e_x
+            # (proof sketch in enumerate_cut_lattice).  So any two points of
+            # F are joined by unit steps through their min, and a set of
+            # feasible vectors holding every feasible a +- e_x of its members
+            # is all of F.  Each edge is a unit step, hence a cover, and each
+            # feasible a + e_x is an edge, so the edges are the covers.
+            assert type_of(cuts[0]) == cut_type
+            base = vecs[0]
+            near = [[] for _ in range(quiver.m)]
+            for u, t in quiver.arrows():
+                w = quiver.target(u, t)
+                if u != w:
+                    low = 0 if (u, t) in cuts[0].arrows else -1
+                    c = low + base[w] - base[u]
+                    near[w].append((u, c))
+                    near[u].append((w, -c - 1))
             for i, a in enumerate(vecs):
-                for b in vecs[i + 1 :]:
-                    low = tuple(map(min, a, b))
-                    assert low in index and tuple(map(max, a, b)) in index
-                    differ = [x for x, (p, q) in enumerate(zip(a, b)) if p != q]
-                    assert any((index[low], x) in up for x in differ), (a, b)
+                assert a[0] == base[0], a
+                for x in range(1, quiver.m):
+                    slack = {a[x] - a[y] - c for y, c in near[x]}
+                    assert slack <= {0, 1}, (a, x)
+                    if slack == {0}:
+                        assert (i, x) in up, (a, x)
+                    elif slack == {1}:
+                        assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
             maximum = max_element(quiver, cut_type)
             assert maximum.arrows == cuts[lattice.max_index].arrows
             assert maximum.arrows == max_via_p(quiver, cut_type).arrows

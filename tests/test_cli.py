@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 from mckaycuts import cli
+from mckaycuts.construct import cut_from_json
+from mckaycuts.groups import GroupSpec, embedding_from_spec
+from mckaycuts.quiver import build_mckay
+from oracles import all_cuts_exhaustive
 
 THIRD = {"n": 2, "generators": [{"order": 3, "weights": [1, 1, 1]}]}
 KLEIN = {
@@ -198,21 +202,15 @@ class TestErrorPaths:
         )
         assert code == 2
 
-    def test_unsupported_lattice_exits_5(self, capsys, write_input):
-        code, _, err = run_cli(
-            capsys,
-            [
-                "--input",
-                write_input(QUARTER_112),
-                "lattice",
-                "--type",
-                "2,2,0",
-                "--budget",
-                "2",
-            ],
-        )
-        assert code == 5
-        assert "unsupported" in err
+    def test_lattice_budget_option_removed(self, capsys, write_input):
+        for command in (["lattice"], ["export-dot", "hasse"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(
+                    ["--input", write_input(QUARTER_112), *command,
+                     "--type", "2,2,0", "--budget", "2"]
+                )
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_nonpositive_extremes_exit_5(self, capsys, write_input):
         code, _, _ = run_cli(
@@ -281,6 +279,26 @@ class TestLatticeAndExtremes:
         )
         assert code == 0
         assert out.startswith("digraph hasse")
+
+    def test_nonpositive_lattice_beyond_m_6(self, capsys, write_input):
+        group = {"n": 2, "generators": [{"order": 12, "weights": [1, 5, 6]}]}
+        path = write_input(group)
+        code, out, _ = run_cli(
+            capsys, ["--input", path, "lattice", "--type", "6,6,0"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        spec = GroupSpec.make(2, [(12, (1, 5, 6))])
+        quiver = build_mckay(embedding_from_spec(spec))
+        oracle = set(all_cuts_exhaustive(quiver, (6, 6, 0)))
+        found = {cut_from_json(quiver, cut) for cut in payload["cuts"]}
+        assert found == oracle and len(payload["cuts"]) == 20
+        assert payload["hasse_edges"] == []
+        code, out, _ = run_cli(
+            capsys, ["--input", path, "export-dot", "hasse", "--type", "6,6,0"]
+        )
+        assert code == 0
+        assert out.count("->") == 0 and out.count("label=") == 20
 
     def test_extremes_agree(self, capsys, write_input):
         code, out, _ = run_cli(

@@ -10,8 +10,8 @@ from mckaycuts.heights import (
     types_equal_iff_h_equal,
 )
 from mckaycuts.intlat import LatticeEmbedding
-from mckaycuts.quiver import build_mckay, make_cut, type_of
-from mckaycuts.typesimplex import enumerate_types
+from mckaycuts.quiver import build_mckay, is_cut, make_cut, type_of
+from mckaycuts.typesimplex import enumerate_types, monomial_degree
 from conftest import instance
 from oracles import all_cuts_exhaustive
 
@@ -166,3 +166,31 @@ class TestTypesEqualIffHEqual:
         for a in types:
             for b in types:
                 assert types_equal_iff_h_equal(emb, a, b) == (a == b)
+
+
+def _third_height():
+    _, _, quiver = instance("third_111")
+    return height_from_cut(quiver, make_cut(quiver, {(2, 1), (2, 2), (2, 3)}))
+
+
+# Each entry point with a float where an integer belongs; all of them
+# used to truncate it silently (reduce((1.9, 0.5)) gave (1, 0)).
+NON_INTEGER_CALLS = {
+    "reduce": lambda emb, q: emb.reduce((1.9, 0.5)),
+    "l1_coefficients": lambda emb, q: emb.l1_coefficients((3.2, 0)),
+    "in_sublattice": lambda emb, q: emb.in_sublattice((3.2, 0)),
+    "element_order": lambda emb, q: emb.element_order((1.5, 0)),
+    "h_gamma_vector": lambda emb, q: h_gamma(emb, (3.0, 0), (1, 1, 1)),
+    "h_gamma_type": lambda emb, q: h_gamma(emb, (3, 0), (1.0, 1, 1)),
+    "value_at": lambda emb, q: _third_height().value_at((1.7, 0)),
+    "monomial_degree": lambda emb, q: monomial_degree(emb, (3.7, 0, 0), (1, 1, 1)),
+    "make_cut": lambda emb, q: make_cut(q, {(2.5, 1), (2, 2), (2, 3)}),
+    "is_cut": lambda emb, q: is_cut(q, {(2, 1), (2, 2.0), (2, 3)}),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NON_INTEGER_CALLS))
+def test_non_integers_rejected(site):
+    _, emb, quiver = instance("third_111")
+    with pytest.raises(TypeError):
+        NON_INTEGER_CALLS[site](emb, quiver)

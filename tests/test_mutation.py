@@ -12,7 +12,6 @@ from mckaycuts.errors import UnsupportedLatticeError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import (
-    brute_force_cuts_of_type,
     enumerate_cut_lattice,
     join,
     max_element,
@@ -26,7 +25,8 @@ from mckaycuts.mutation import (
 )
 from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
 from mckaycuts.typesimplex import enumerate_types
-from conftest import instance
+from mckaycuts.verify import brute_force_cuts_of_type
+from conftest import NAMED_SPECS, instance
 from oracles import all_cuts_exhaustive
 
 
@@ -230,10 +230,19 @@ class TestEnumerateLattice:
         oracle = all_cuts_exhaustive(quiver, (2, 2, 0))
         assert {c.arrows for c in lattice.cuts} == set(oracle)
 
-    def test_nonpositive_beyond_budget_refused(self):
-        _, _, quiver = instance("quarter_112")
-        with pytest.raises(UnsupportedLatticeError, match="unsupported beyond"):
-            enumerate_cut_lattice(quiver, (2, 2, 0), brute_budget=2)
+    @pytest.mark.parametrize("m, weights, cut_type, n_cuts", (
+        (8, (1, 3, 4), (4, 4, 0), 6),
+        (10, (1, 4, 5), (4, 6, 0), 10),
+        (12, (1, 5, 6), (6, 6, 0), 20),
+    ))
+    def test_nonpositive_beyond_m_6(self, m, weights, cut_type, n_cuts):
+        # Class moves reach every cut; no exhaustive search, no refusal.
+        quiver = cyclic_quiver(m, weights)
+        lattice = enumerate_cut_lattice(quiver, cut_type)
+        oracle = all_cuts_exhaustive(quiver, cut_type)
+        assert {c.arrows for c in lattice.cuts} == set(oracle)
+        assert len(lattice.cuts) == n_cuts
+        assert lattice.hasse_edges == ()
 
     def test_deterministic_output(self):
         _, _, quiver = instance("sixth_123")
@@ -395,3 +404,57 @@ class TestLatticeProperties:
         v_join = lattice.v_vectors[index_of[join(a, b).arrows]]
         assert v_meet == tuple(map(min, va, vb))
         assert v_join == tuple(map(max, va, vb))
+
+
+@st.composite
+def cyclic_types_with_zero(draw):
+    """A cyclic group 1/m(a, b, -a-b) with m <= 16 and an admissible type with a 0."""
+    m = draw(st.integers(2, 16))
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(0, m - 1))
+    assume(gcd(gcd(a, b), m) == 1)
+    quiver = cyclic_quiver(m, (a, b, -a - b))
+    types = enumerate_types(quiver.embedding).all_types
+    return quiver, draw(st.sampled_from([t for t in types if 0 in t]))
+
+
+class TestNonpositiveLatticeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(cyclic_types_with_zero())
+    def test_lattice_matches_oracle(self, instance):
+        quiver, cut_type = instance
+        lattice = enumerate_cut_lattice(quiver, cut_type)
+        oracle = all_cuts_exhaustive(quiver, cut_type)
+        assert {c.arrows for c in lattice.cuts} == set(oracle)
+        assert len(lattice.cuts) == len(oracle)
+        assert lattice.hasse_edges == ()
+        vecs = lattice.v_vectors
+        assert list(vecs) == sorted(set(vecs))
+        assert vecs[lattice.max_index] == tuple(map(max, zip(*vecs)))
+        assert vecs[lattice.min_index] == tuple(map(min, zip(*vecs)))
+
+
+class TestHasseTransitiveReduction:
+    """Hasse edges against networkx's transitive reduction of the v-vector order."""
+
+    @pytest.mark.parametrize("name", (*sorted(NAMED_SPECS), "1/12(1,2,9)"))
+    def test_edges_are_the_covers(self, name):
+        nx = pytest.importorskip("networkx")
+        if name == "1/12(1,2,9)":
+            quiver = cyclic_quiver(12, (1, 2, 9))
+        else:
+            quiver = instance(name)[2]
+        for cut_type in enumerate_types(quiver.embedding).positive_types:
+            lattice = enumerate_cut_lattice(quiver, cut_type)
+            vecs = lattice.v_vectors
+            order = nx.DiGraph()
+            order.add_nodes_from(range(len(vecs)))
+            order.add_edges_from(
+                (i, j)
+                for i, a in enumerate(vecs)
+                for j, b in enumerate(vecs)
+                if i != j and all(p <= q for p, q in zip(a, b))
+            )
+            reduction = set(nx.transitive_reduction(order).edges)
+            assert len(lattice.hasse_edges) == len(reduction)
+            assert {(lo, hi) for lo, hi, _ in lattice.hasse_edges} == reduction

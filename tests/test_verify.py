@@ -65,6 +65,34 @@ def _swap_middle(lattice, field):
     return dataclasses.replace(lattice, **{field: tuple(items)})
 
 
+def _drop_middle(lattice):
+    """Drop a non-extreme cut with its vector and renumber the edges.
+
+    Every remaining vector, edge and extreme is genuine, so only the
+    unit-step closure of the vectors can notice the hole.
+    """
+    k = next(
+        k for k in range(len(lattice.cuts))
+        if k not in (lattice.min_index, lattice.max_index)
+    )
+
+    def renumber(i):
+        return i - (i > k)
+
+    return dataclasses.replace(
+        lattice,
+        cuts=lattice.cuts[:k] + lattice.cuts[k + 1 :],
+        v_vectors=lattice.v_vectors[:k] + lattice.v_vectors[k + 1 :],
+        hasse_edges=tuple(
+            (renumber(lo), renumber(hi), x)
+            for lo, hi, x in lattice.hasse_edges
+            if k not in (lo, hi)
+        ),
+        max_index=renumber(lattice.max_index),
+        min_index=renumber(lattice.min_index),
+    )
+
+
 DOCTORS = {
     "none": lambda lat: lat,
     "swap_cuts": lambda lat: _swap_middle(lat, "cuts"),
@@ -75,6 +103,7 @@ DOCTORS = {
     "min_to_max_edge": lambda lat: dataclasses.replace(
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 1),)
     ),
+    "drop_middle_cut": _drop_middle,
     # The origin is never mutated, so this edge duplicates no real one.
     "min_to_max_edge_at_origin": lambda lat: dataclasses.replace(
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 0),)
