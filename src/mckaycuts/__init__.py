@@ -6,7 +6,8 @@ classifies the admissible cut types, constructs a cut of every type,
 converts between cuts and equivariant height functions, and enumerates
 the finite distributive lattice of cuts of any fixed type by moves on
 height vectors (mutations, for a positive type), including the
-extremal elements of a positive type.
+extremal elements of a positive type and the maximum of any type by a
+shortest-path construction.
 """
 
 from .construct import (

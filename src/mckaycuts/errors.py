@@ -22,4 +22,8 @@ class UnsupportedLatticeError(ValueError):
 
 
 class SearchBoundExceededError(RuntimeError):
-    """The bounded search for the maximal height function was inconclusive."""
+    """The directly constructed maximal height function failed certification.
+
+    ``max_via_p`` checks its result like any other height function; the
+    path bound in its docstring says this never happens.
+    """

@@ -140,7 +140,8 @@ def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
 
     Works on the quotient: breadth-first assignment of values along
     out-arrows, each step corrected by the lift of the arrow's L1 wrap,
-    followed by a consistency check of every arrow.  Any failure (wrong
+    followed by the :func:`drops` check of every arrow: the heights
+    must drop exactly along the given arrows.  Any failure (wrong
     arrow count, type failing divisibility, or two paths disagreeing)
     means the input is not a cut.
     """
@@ -175,14 +176,15 @@ def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
                 values[w] = base + (-n if (v, t) in arrows else 1) - lift
                 order.append(w)
     assert len(order) == m, "quotient Cayley graph must be connected"
-    for u, row in enumerate(quiver.targets):
-        for t, (w, lift) in enumerate(zip(row, lifts[u]), start=1):
-            increment = -n if (u, t) in arrows else 1
-            if values[w] + lift - values[u] != increment:
-                raise NotACutError(
-                    "height increments are inconsistent: two paths to "
-                    f"{quiver.vertices[w]} disagree, so the arrow set is not a cut"
-                )
+    try:
+        consistent = drops(quiver, values, lifts) == arrows
+    except ValueError as exc:
+        raise NotACutError(str(exc)) from exc
+    if not consistent:
+        raise NotACutError(
+            "height increments are inconsistent: the heights do not drop "
+            "exactly along the given arrows, so the arrow set is not a cut"
+        )
     return HeightFunction(
         embedding=embedding, values=tuple(values), l1_values=l1_values
     )

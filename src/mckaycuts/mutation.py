@@ -18,7 +18,13 @@ steps -n, down when the signs are swapped.  For a positive type every
 class is a single vertex and the moves are exactly the mutations at
 nonzero sources and sinks, which are the covers of the lattice.  Cuts
 are read off the final heights with the same step check as
-:func:`mckaycuts.heights.cut_from_height`.  ``mutable_vertices``,
+:func:`mckaycuts.heights.cut_from_height`.
+
+``max_via_p`` is the paper's direct construction of the maximum of any
+admissible type: one shortest-path pass from the origin, an arrow of
+type t weighing the type's t-th entry, gives the maximal height.  The
+greedy ``max_element`` and ``min_element`` walks are an independent
+cross-check for positive types.  ``mutable_vertices``,
 ``mutate_source``/``mutate_sink`` and ``relative_height_vector`` remain
 as the cut-level API.
 """
@@ -26,7 +32,7 @@ as the cut-level API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from heapq import heappop, heappush
 
 from .construct import construct_cut, cut_to_json
 from .errors import SearchBoundExceededError, UnsupportedLatticeError
@@ -362,99 +368,60 @@ def min_element(quiver: McKayQuiver, cut_type) -> Cut:
     return _greedy_extreme(quiver, cut_type, -1)
 
 
-def _support_feasible(embedding, cut_type, u: Vec, radius: int) -> bool:
-    """Whether some lattice point of the comparison lattice lies below u.
-
-    The comparison lattice is the image of L1 under
-    ``y -> (y, 0) - (<y, type>/m) * 1``; its points pair to zero with
-    the type vector, so coordinates with a positive type entry are
-    bounded below inside ``{w <= u}`` and are enumerated exactly, while
-    coordinates with a zero entry are truncated at ``-radius``.
-    """
-    n, m = embedding.n, embedding.m
-    total = n + 1
-    ranges = []
-    for i in range(total):
-        upper = u[i]
-        if cut_type[i] > 0:
-            other = sum(
-                cut_type[j] * max(u[j], 0) for j in range(total) if j != i
-            )
-            lower = -(other // cut_type[i]) - 1
-        else:
-            lower = -radius
-        if lower > upper:
-            return False
-        ranges.append(range(lower, upper + 1))
-    for head in product(*ranges[:n]):
-        partial = sum(g * w for g, w in zip(cut_type, head))
-        if cut_type[n] > 0:
-            if partial % cut_type[n] != 0:
-                continue
-            tail = -partial // cut_type[n]
-            if tail not in ranges[n]:
-                continue
-            candidates = (tail,)
-        else:
-            if partial != 0:
-                continue
-            candidates = ranges[n]
-        for tail in candidates:
-            t = -tail
-            y = tuple(w + t for w in head)
-            if sum(g * c for g, c in zip(cut_type, y)) != t * m:
-                continue
-            if embedding.in_sublattice(y):
-                return True
-    return False
-
-
-def _support_max(embedding, cut_type, x: Vec, radius: int) -> int:
-    """Largest z such that ``(x, 0) - z * 1`` dominates a comparison-lattice point."""
-    assert all(c >= 0 for c in x)
-    for z in range(sum(x), -1, -1):
-        u = tuple(c - z for c in x) + (-z,)
-        if _support_feasible(embedding, cut_type, u, radius):
-            return z
-    raise AssertionError("z = 0 is always feasible for nonnegative x")
-
-
 def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
     """Maximal cut by direct construction of its height function.
 
-    Every height value is ``<x, 1> - (n+1) * p(x)`` where p(x) is the
-    largest downward shift keeping ``(x, 0)`` above the comparison
-    lattice.  The search over that lattice is truncated at a generous
-    radius in the unbounded directions, and the result is certified to
-    be a valid height function of the requested type; an insufficient
-    radius therefore surfaces as an error, never as a wrong answer.
+    Write g for the type, g' for its first n entries and D(x) for the
+    least type-weighted length of a path from vertex 0 to vertex x, an
+    arrow of type t weighing g_t.  The maximal height is
+    ``h*(x) = <x, 1> - (n+1) * p(x)`` with ``p(x) = (<x, g'> - D(x)) / m``,
+    exact for every admissible type, nonpositive ones included:
+
+    - A path from 0 to x with type counts Z lifts to x + l with l in
+      L1, so every height function h of type g has h(x) = <x, 1> +
+      (n+1) (<Z, g> - <x, g'>) / m - (n+1) (cut arrows on the path).
+      A shortest path gives h(x) <= h*(x).  Admissibility makes
+      <l, g'> a multiple of m, so m divides <x, g'> - D(x).
+    - h* is itself a height function.  Along u -> w of type t,
+      D(w) <= D(u) + g_t, and D(u) <= D(w) + m - g_t because the other
+      n arrows of an elementary cycle lead back.  So every step of h*,
+      1 - (n+1) times an integer, lies in [-n, 1]: it is +1 or -n.
+
+    D comes from one Dijkstra pass over the quotient quiver.  The result
+    is still certified to be a height function of the requested type,
+    and a failure raises SearchBoundExceededError.
     """
     embedding = quiver.embedding
     cut_type = require_admissible(embedding, cut_type)
     n, m = embedding.n, embedding.m
-    norm = max(
-        (abs(c) for rep in quiver.vertices for c in rep), default=0
-    )
-    radius = m * (norm + m + n + 1)
-    values = tuple(
-        sum(rep) - (n + 1) * _support_max(embedding, cut_type, rep, radius)
-        for rep in quiver.vertices
-    )
+    dist: list[int | None] = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        d, u = heappop(heap)
+        if dist[u] is None:
+            dist[u] = d
+            for w, g in zip(quiver.targets[u], cut_type):
+                if dist[w] is None:
+                    heappush(heap, (d + g, w))
+    values = []
+    for rep, d in zip(quiver.vertices, dist):
+        # rep has n entries, so zip pairs it with g'.
+        shift = sum(x * g for x, g in zip(rep, cut_type)) - d
+        assert shift % m == 0, (rep, cut_type)
+        values.append(sum(rep) - (n + 1) * (shift // m))
     height = HeightFunction(
         embedding=embedding,
-        values=values,
+        values=tuple(values),
         l1_values=_l1_values(embedding, cut_type),
     )
     try:
         cut = cut_from_height(quiver, height)
     except ValueError as exc:
         raise SearchBoundExceededError(
-            f"candidate maximum failed certification ({exc}); "
-            f"the search radius {radius} was insufficient"
+            f"candidate maximum failed certification ({exc})"
         ) from exc
     if type_of(cut) != cut_type:
         raise SearchBoundExceededError(
-            f"candidate maximum has type {type_of(cut)} instead of {cut_type}; "
-            f"the search radius {radius} was insufficient"
+            f"candidate maximum has type {type_of(cut)} instead of {cut_type}"
         )
     return cut

@@ -13,8 +13,10 @@ height must match its vector and each Hasse edge must be a unit step
 up.  Difference constraints built from the first cut's arrow set, not
 from the walk that produced the lattice, must hold for every vector;
 every feasible unit step a +- e_x of a member must be a member, and
-every feasible a + e_x a Hasse edge.  Per type: 2|L| height functions
-and O(|L| m (n+1)) integer operations.
+every feasible a + e_x a Hasse edge.  The origin-source check reads
+the edges too: only the maximum may lack an edge up, so one cut quiver
+is built per type.  Per type: |L| + 1 height functions and
+O(|L| m (n+1)) integer operations.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .mutation import (
     max_via_p,
     min_element,
     mutable_vertices,
-    relative_height_vector,
 )
 from .quiver import (
     Cut,
@@ -253,9 +254,14 @@ def run_verification(
             if oracle_ok:
                 assert {c.arrows for c in cuts} == {c.arrows for c in oracle[cut_type]}
                 details.append("matches subset oracle")
+            reference = height_from_cut(quiver, cuts[0]).values
             for cut, vec in zip(cuts, vecs):
-                offset = tuple(v - v0 for v, v0 in zip(vec, vecs[0]))
-                assert relative_height_vector(cut, cuts[0]) == offset
+                assert type_of(cut) == cut_type
+                values = height_from_cut(quiver, cut).values
+                assert all(
+                    h - r == (n + 1) * (v - v0)
+                    for h, r, v, v0 in zip(values, reference, vec, vecs[0])
+                )
             index = {vec: i for i, vec in enumerate(vecs)}
             assert len(index) == len(vecs)
             up = {}  # (lower index, vertex) -> upper index
@@ -276,7 +282,6 @@ def run_verification(
             # feasible vectors holding every feasible a +- e_x of its members
             # is all of F.  Each edge is a unit step, hence a cover, and each
             # feasible a + e_x is an edge, so the edges are the covers.
-            assert type_of(cuts[0]) == cut_type
             base = vecs[0]
             near = [[] for _ in range(quiver.m)]
             for u, t in quiver.arrows():
@@ -300,9 +305,13 @@ def run_verification(
             assert maximum.arrows == max_via_p(quiver, cut_type).arrows
             minimum = min_element(quiver, cut_type)
             assert minimum.arrows == cuts[lattice.min_index].arrows
-            origin_sourced = [c for c in cuts if sources(cut_quiver(quiver, c)) == (0,)]
-            assert len(origin_sourced) == 1
-            assert origin_sourced[0].arrows == maximum.arrows
+            # A positive type has no loops, and a nonzero source x of a cut
+            # a is exactly a feasible a + e_x, which the closure pass above
+            # made an edge up.  Every cut quiver is acyclic, so it has a
+            # source: the cuts whose only source is the origin are exactly
+            # those with no edge up, and only the maximum may be one.
+            assert {lo for lo, _ in up} == set(range(len(cuts))) - {lattice.max_index}
+            assert sources(cut_quiver(quiver, cuts[lattice.max_index])) == (0,)
             details.append("covers = mutations, closed, extremes agree")
             return "; ".join(details)
 

@@ -310,6 +310,20 @@ class TestLatticeAndExtremes:
         assert payload["methods_agree"] is True
         assert payload["max_greedy"] == payload["max_via_p"]
 
+    def test_extremes_at_m_240_in_bounded_time(self, write_input):
+        group = {"n": 2, "generators": [{"order": 240, "weights": [1, 5, 234]}]}
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input(group), "extremes", "--type", "50,10,180"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["methods_agree"] is True
+
 
 class TestVerify:
     def test_full_suite_passes(self, capsys, write_input):

@@ -45,6 +45,25 @@ class TestHeightFromCut:
         with pytest.raises(NotACutError):
             height_from_cut(quiver, frozenset({(0, 1)}))
 
+    def test_rejects_every_non_cut_of_an_admissible_type(self):
+        # Right arrow count and an admissible type, so only the step check
+        # of every arrow can refuse these sets.
+        from itertools import combinations
+
+        from mckaycuts.errors import NotACutError
+
+        _, emb, quiver = instance("sixth_123")
+        admissible = set(enumerate_types(emb).all_types)
+        refused = 0
+        for arrows in combinations(list(quiver.arrows()), emb.m):
+            counts = tuple(sum(1 for _, t in arrows if t == s) for s in quiver.types)
+            if counts not in admissible or is_cut(quiver, arrows):
+                continue
+            with pytest.raises(NotACutError):
+                height_from_cut(quiver, frozenset(arrows))
+            refused += 1
+        assert refused > 0
+
     def test_equivariant_evaluation(self):
         _, emb, quiver = instance("third_111")
         cut = make_cut(quiver, {(2, 1), (2, 2), (2, 3)})

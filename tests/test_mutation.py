@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mckaycuts import mutation
 from mckaycuts.construct import construct_cut
-from mckaycuts.errors import UnsupportedLatticeError
+from mckaycuts.errors import SearchBoundExceededError, UnsupportedLatticeError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import (
@@ -329,6 +330,15 @@ class TestMaxViaP:
         cut = max_via_p(quiver, (3, 0, 0))
         assert cut.arrows == {(v, 1) for v in range(emb.m)}
 
+    def test_failed_certification_raises(self, monkeypatch):
+        def refuse(quiver, height):
+            raise ValueError("not a height function")
+
+        monkeypatch.setattr(mutation, "cut_from_height", refuse)
+        _, _, quiver = instance("third_111")
+        with pytest.raises(SearchBoundExceededError, match="certification"):
+            max_via_p(quiver, (1, 1, 1))
+
 
 # The lattice benchmark instances: group weights, type, cuts and covers.
 BENCHMARK_LATTICES = (
@@ -432,6 +442,7 @@ class TestNonpositiveLatticeProperties:
         assert list(vecs) == sorted(set(vecs))
         assert vecs[lattice.max_index] == tuple(map(max, zip(*vecs)))
         assert vecs[lattice.min_index] == tuple(map(min, zip(*vecs)))
+        assert max_via_p(quiver, cut_type) == lattice.cuts[lattice.max_index]
 
 
 class TestHasseTransitiveReduction:
