@@ -5,9 +5,8 @@ cofinite sublattice of Z^n), builds the McKay quiver as a Cayley graph,
 classifies the admissible cut types, constructs a cut of every type,
 converts between cuts and equivariant height functions, and enumerates
 the finite distributive lattice of cuts of any fixed type by moves on
-height vectors (mutations, for a positive type), including the
-extremal elements of a positive type and the maximum of any type by a
-shortest-path construction.
+height vectors (mutations, for a positive type), and builds the maximal
+and minimal cuts of every admissible type by shortest-path passes.
 """
 
 from .construct import (

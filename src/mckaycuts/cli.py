@@ -3,7 +3,8 @@
 Subcommands: analyze | types | construct | lattice | extremes | verify |
 export-dot.  Input is a JSON group description via --input or stdin.
 Exit codes: 0 ok, 1 verification failures, 2 malformed input, 3
-unsupported size, 4 inadmissible type, 5 unsupported extremes request.
+unsupported size, 4 inadmissible type, 5 an ``extremes`` maximum that
+failed certification (the path bound in ``max_via_p`` says it never does).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     NotACutError,
     SearchBoundExceededError,
     SingularMatrixError,
-    UnsupportedLatticeError,
 )
 from .groups import parse_input
 from .heights import height_from_cut
@@ -170,19 +170,21 @@ def _cmd_extremes(args) -> int:
     embedding, _ = _load(args)
     cut_type = _require_type(args, embedding)
     quiver = build_mckay(embedding)
+    maximum = max_element(quiver, cut_type)
+    minimum = min_element(quiver, cut_type)
     try:
-        greedy_max = max_element(quiver, cut_type)
-        greedy_min = min_element(quiver, cut_type)
         via_p = max_via_p(quiver, cut_type)
-    except (UnsupportedLatticeError, SearchBoundExceededError) as exc:
+    except SearchBoundExceededError as exc:
         raise _CliError(EXIT_UNSUPPORTED, str(exc)) from exc
+    # The "greedy" keys name the seed-constraint extremes; the names are
+    # kept so the output format is unchanged.
     _emit(
         {
             "type": list(cut_type),
-            "max_greedy": cut_to_json(greedy_max),
+            "max_greedy": cut_to_json(maximum),
             "max_via_p": cut_to_json(via_p),
-            "min_greedy": cut_to_json(greedy_min),
-            "methods_agree": greedy_max.arrows == via_p.arrows,
+            "min_greedy": cut_to_json(minimum),
+            "methods_agree": maximum.arrows == via_p.arrows,
         }
     )
     return EXIT_OK

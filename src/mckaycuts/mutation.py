@@ -20,22 +20,25 @@ nonzero sources and sinks, which are the covers of the lattice.  Cuts
 are read off the final heights with the same step check as
 :func:`mckaycuts.heights.cut_from_height`.
 
-``max_via_p`` is the paper's direct construction of the maximum of any
-admissible type: one shortest-path pass from the origin, an arrow of
-type t weighing the type's t-th entry, gives the maximal height.  The
-greedy ``max_element`` and ``min_element`` walks are an independent
-cross-check for positive types.  ``mutable_vertices``,
+The extremes of every admissible type, nonpositive ones included, are
+shortest-path distances, each from one pass of the same Dijkstra
+helper.  ``max_element`` and ``min_element`` run it over the seed cut's
+difference constraints; ``max_via_p``, the paper's direct construction
+of the maximum, runs it over the quiver with an arrow of type t
+weighing the type's t-th entry.  The two maxima are independent and
+cross-check each other.  ``mutable_vertices``,
 ``mutate_source``/``mutate_sink`` and ``relative_height_vector`` remain
 as the cut-level API.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .construct import construct_cut, cut_to_json
-from .errors import SearchBoundExceededError, UnsupportedLatticeError
+from .errors import SearchBoundExceededError
 from .heights import (
     HeightFunction,
     _l1_values,
@@ -63,22 +66,27 @@ def mutable_vertices(
     return sources(sub), sinks(sub)
 
 
+def _mutate(quiver: McKayQuiver, cut: Cut, v, kind: str) -> Cut:
+    v = operator.index(v)
+    if not 0 <= v < quiver.m:
+        raise ValueError(f"vertex {v} is not in range({quiver.m})")
+    # A source's in-arrows leave the cut and its out-arrows enter it.
+    leave, enter = frozenset(quiver.in_arrows(v)), frozenset(quiver.out_arrows(v))
+    if kind == "sink":
+        leave, enter = enter, leave
+    if not leave <= cut.arrows or enter & cut.arrows:
+        raise ValueError(f"vertex {v} is not a {kind} of the cut quiver")
+    return Cut(quiver=quiver, arrows=(cut.arrows - leave) | enter)
+
+
 def mutate_source(quiver: McKayQuiver, cut: Cut, v: int) -> Cut:
     """Swap the incoming cut arrows of a source for its outgoing arrows."""
-    incoming = frozenset(quiver.in_arrows(v))
-    outgoing = frozenset(quiver.out_arrows(v))
-    if not incoming <= cut.arrows or outgoing & cut.arrows:
-        raise ValueError(f"vertex {v} is not a source of the cut quiver")
-    return Cut(quiver=quiver, arrows=(cut.arrows - incoming) | outgoing)
+    return _mutate(quiver, cut, v, "source")
 
 
 def mutate_sink(quiver: McKayQuiver, cut: Cut, v: int) -> Cut:
     """Swap the outgoing cut arrows of a sink for its incoming arrows."""
-    incoming = frozenset(quiver.in_arrows(v))
-    outgoing = frozenset(quiver.out_arrows(v))
-    if not outgoing <= cut.arrows or incoming & cut.arrows:
-        raise ValueError(f"vertex {v} is not a sink of the cut quiver")
-    return Cut(quiver=quiver, arrows=(cut.arrows - outgoing) | incoming)
+    return _mutate(quiver, cut, v, "sink")
 
 
 def relative_height_vector(cut: Cut, reference: Cut) -> Vec:
@@ -332,40 +340,68 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     )
 
 
-def _require_positive(quiver: McKayQuiver, cut_type) -> Vec:
+def _distances(adjacency) -> list[int]:
+    """Shortest-path lengths from vertex 0; ``adjacency[u]`` lists (w, weight).
+
+    One ``heapq`` Dijkstra pass over nonnegative integer weights.  Every
+    graph passed here contains the out-arrows of the quotient quiver,
+    which is strongly connected, so every vertex is reached.
+    """
+    dist: list[int | None] = [None] * len(adjacency)
+    heap = [(0, 0)]
+    while heap:
+        d, u = heappop(heap)
+        if dist[u] is None:
+            dist[u] = d
+            for w, weight in adjacency[u]:
+                if dist[w] is None:
+                    heappush(heap, (d + weight, w))
+    assert None not in dist, "quotient quiver must be strongly connected"
+    return dist
+
+
+def _extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
+    """Maximal (sign +1) or minimal (sign -1) cut of an admissible type.
+
+    Let s be the seed cut and v a cut's height vector relative to it, so
+    its heights are ``h_s + (n+1) v``.  The cuts of the type are the
+    integer v with ``v[0] = 0`` and, along each arrow u -> w, ``v[w] -
+    v[u]`` in {0, 1} if s cuts it and in {-1, 0} if not (see
+    :func:`enumerate_cut_lattice`).  Each bound is an edge of a graph: a
+    cut arrow gives u -> w of weight 1 and w -> u of weight 0, an uncut
+    arrow the weights swapped.  Summing the bounds along a shortest path
+    from 0 gives ``v[x] <= dist(x)`` for every cut, and dist satisfies
+    every bound (the triangle inequality) with ``dist(0) = 0``, so dist
+    is the componentwise maximum: the top of the lattice.  The bottom is
+    the same argument for -v, whose bounds are the two weights swapped
+    again.  A loop gives edges from a vertex to itself, which change no
+    distance.
+    """
     cut_type = require_admissible(quiver.embedding, cut_type)
-    if not all(g > 0 for g in cut_type):
-        raise UnsupportedLatticeError(
-            f"extremal elements by mutation require a positive type, got {cut_type}"
-        )
-    return cut_type
-
-
-def _greedy_extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
-    """Mutate the lowest nonzero source (sign +1) or sink (sign -1) until none is left."""
-    cut_type = _require_positive(quiver, cut_type)
-    seed_height = height_from_cut(quiver, construct_cut(quiver, cut_type))
-    steps = _HeightSteps(quiver, seed_height.l1_values, cut_type)
-    h = seed_height.values
-    classes = range(1, len(steps.members))
-    for _ in range(10_000 * quiver.m):
-        x = next((c for c in classes if steps.direction(h, c) == sign), None)
-        if x is None:
-            assert steps.direction(h, 0) == sign
-            return steps.cut(h)
-        h = steps.moved(h, x, sign)
-    kind = "source" if sign > 0 else "sink"
-    raise AssertionError(f"{kind} mutation failed to terminate")
+    seed = construct_cut(quiver, cut_type)
+    seed_height = height_from_cut(quiver, seed)
+    adjacency = [[] for _ in range(quiver.m)]
+    for u, row in enumerate(quiver.targets):
+        for t, w in enumerate(row, start=1):
+            forward = int(((u, t) in seed.arrows) == (sign > 0))
+            adjacency[u].append((w, forward))
+            adjacency[w].append((u, 1 - forward))
+    rise, dist = sign * (quiver.n + 1), _distances(adjacency)
+    heights = [h + rise * d for h, d in zip(seed_height.values, dist)]
+    lifts = quiver.arrow_lifts(seed_height.l1_values)
+    cut = Cut(quiver=quiver, arrows=drops(quiver, heights, lifts))
+    assert type_of(cut) == cut_type, (type_of(cut), cut_type)
+    return cut
 
 
 def max_element(quiver: McKayQuiver, cut_type) -> Cut:
-    """Greedy maximum: mutate nonzero sources until only the origin is one."""
-    return _greedy_extreme(quiver, cut_type, 1)
+    """Maximal cut of any admissible type: one shortest-path pass."""
+    return _extreme(quiver, cut_type, 1)
 
 
 def min_element(quiver: McKayQuiver, cut_type) -> Cut:
-    """Greedy minimum: mutate nonzero sinks until only the origin is one."""
-    return _greedy_extreme(quiver, cut_type, -1)
+    """Minimal cut of any admissible type: one shortest-path pass."""
+    return _extreme(quiver, cut_type, -1)
 
 
 def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
@@ -394,15 +430,7 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
     embedding = quiver.embedding
     cut_type = require_admissible(embedding, cut_type)
     n, m = embedding.n, embedding.m
-    dist: list[int | None] = [None] * m
-    heap = [(0, 0)]
-    while heap:
-        d, u = heappop(heap)
-        if dist[u] is None:
-            dist[u] = d
-            for w, g in zip(quiver.targets[u], cut_type):
-                if dist[w] is None:
-                    heappush(heap, (d + g, w))
+    dist = _distances([tuple(zip(row, cut_type)) for row in quiver.targets])
     values = []
     for rep, d in zip(quiver.vertices, dist):
         # rep has n entries, so zip pairs it with g'.

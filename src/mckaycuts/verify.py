@@ -300,11 +300,9 @@ def run_verification(
                         assert (i, x) in up, (a, x)
                     elif slack == {1}:
                         assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
-            maximum = max_element(quiver, cut_type)
-            assert maximum.arrows == cuts[lattice.max_index].arrows
-            assert maximum.arrows == max_via_p(quiver, cut_type).arrows
-            minimum = min_element(quiver, cut_type)
-            assert minimum.arrows == cuts[lattice.min_index].arrows
+            assert max_element(quiver, cut_type) == cuts[lattice.max_index]
+            assert max_via_p(quiver, cut_type) == cuts[lattice.max_index]
+            assert min_element(quiver, cut_type) == cuts[lattice.min_index]
             # A positive type has no loops, and a nonzero source x of a cut
             # a is exactly a feasible a + e_x, which the closure pass above
             # made an edge up.  Every cut quiver is acyclic, so it has a

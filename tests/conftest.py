@@ -7,7 +7,9 @@ from functools import lru_cache
 import pytest
 
 from mckaycuts.groups import GroupSpec, embedding_from_spec
+from mckaycuts.heights import height_from_cut
 from mckaycuts.quiver import build_mckay
+from oracles import all_cuts_exhaustive
 
 NAMED_SPECS = {
     "half_11": (1, [(2, (1, 1))]),
@@ -32,3 +34,22 @@ def instance(name: str):
 @pytest.fixture(params=sorted(NAMED_SPECS))
 def named_instance(request):
     return instance(request.param)
+
+
+def oracle_extremes(quiver, cut_type):
+    """(max, min) arrow sets among the exhaustive oracle's cuts of a type.
+
+    The ends are the cuts whose height functions are the componentwise
+    maximum and minimum of all of them.
+    """
+    heights = {
+        arrows: height_from_cut(quiver, arrows).values
+        for arrows in all_cuts_exhaustive(quiver, cut_type)
+    }
+
+    def end(pick):
+        target = tuple(pick(column) for column in zip(*heights.values()))
+        (found,) = [a for a, h in heights.items() if h == target]
+        return found
+
+    return end(max), end(min)

@@ -10,8 +10,10 @@ import pytest
 
 from mckaycuts import cli
 from mckaycuts.construct import cut_from_json
+from mckaycuts.errors import SearchBoundExceededError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.quiver import build_mckay
+from conftest import oracle_extremes
 from oracles import all_cuts_exhaustive
 
 THIRD = {"n": 2, "generators": [{"order": 3, "weights": [1, 1, 1]}]}
@@ -39,6 +41,22 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def extremes_in_child(write_input, m, weights, cut_type):
+    """Run ``extremes`` on 1/m(weights) in a child process with a 60 s timeout."""
+    group = {"n": 2, "generators": [{"order": m, "weights": list(weights)}]}
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mckaycuts.cli",
+         "--input", write_input(group), "extremes", "--type", cut_type],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestAnalyze:
@@ -212,12 +230,17 @@ class TestErrorPaths:
             assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_nonpositive_extremes_exit_5(self, capsys, write_input):
-        code, _, _ = run_cli(
+    def test_failed_certification_exits_5(self, capsys, write_input, monkeypatch):
+        def refuse(quiver, cut_type):
+            raise SearchBoundExceededError("candidate maximum failed certification")
+
+        monkeypatch.setattr(cli, "max_via_p", refuse)
+        code, out, err = run_cli(
             capsys,
-            ["--input", write_input(QUARTER_112), "extremes", "--type", "2,2,0"],
+            ["--input", write_input(THIRD), "extremes", "--type", "1,1,1"],
         )
-        assert code == 5
+        assert code == 5 and out == ""
+        assert "certification" in err
 
 
 class TestConstruct:
@@ -310,19 +333,27 @@ class TestLatticeAndExtremes:
         assert payload["methods_agree"] is True
         assert payload["max_greedy"] == payload["max_via_p"]
 
-    def test_extremes_at_m_240_in_bounded_time(self, write_input):
-        group = {"n": 2, "generators": [{"order": 240, "weights": [1, 5, 234]}]}
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "mckaycuts.cli",
-             "--input", write_input(group), "extremes", "--type", "50,10,180"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
+    def test_nonpositive_extremes(self, capsys, write_input):
+        code, out, _ = run_cli(
+            capsys,
+            ["--input", write_input(QUARTER_112), "extremes", "--type", "2,2,0"],
         )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["methods_agree"] is True
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["methods_agree"] is True
+        quiver = build_mckay(embedding_from_spec(GroupSpec.make(2, [(4, (1, 1, 2))])))
+        top, bottom = oracle_extremes(quiver, (2, 2, 0))
+        assert cut_from_json(quiver, payload["max_greedy"]) == top
+        assert cut_from_json(quiver, payload["max_via_p"]) == top
+        assert cut_from_json(quiver, payload["min_greedy"]) == bottom
+
+    def test_extremes_at_m_240_in_bounded_time(self, write_input):
+        payload = extremes_in_child(write_input, 240, (1, 5, 234), "50,10,180")
+        assert payload["methods_agree"] is True
+
+    def test_extremes_at_m_2000_in_bounded_time(self, write_input):
+        payload = extremes_in_child(write_input, 2000, (1, 5, 1994), "566,830,604")
+        assert payload["methods_agree"] is True
 
 
 class TestVerify:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mckaycuts import mutation
 from mckaycuts.construct import construct_cut
-from mckaycuts.errors import SearchBoundExceededError, UnsupportedLatticeError
+from mckaycuts.errors import SearchBoundExceededError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import (
@@ -27,7 +27,7 @@ from mckaycuts.mutation import (
 from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
 from mckaycuts.typesimplex import enumerate_types
 from mckaycuts.verify import brute_force_cuts_of_type
-from conftest import NAMED_SPECS, instance
+from conftest import NAMED_SPECS, instance, oracle_extremes
 from oracles import all_cuts_exhaustive
 
 
@@ -97,6 +97,17 @@ class TestMutate:
             mutate_sink(quiver, cut, 1)
         with pytest.raises(ValueError, match="not a source"):
             mutate_source(quiver, cut, 2)
+
+    @pytest.mark.parametrize("v, error", [(-3, ValueError), (3, ValueError),
+                                          (1.5, TypeError)])
+    def test_rejects_vertex_outside_range(self, v, error):
+        # -3 used to wrap round to the origin, a source of the maximum.
+        _, _, quiver = instance("third_111")
+        for cut in (max_element(quiver, (1, 1, 1)), min_element(quiver, (1, 1, 1))):
+            with pytest.raises(error):
+                mutate_source(quiver, cut, v)
+            with pytest.raises(error):
+                mutate_sink(quiver, cut, v)
 
     def test_type_preserved(self):
         for _, quiver, cut_type in lattice_instances():
@@ -298,10 +309,43 @@ class TestExtremes:
 
             assert sink_set(cut_quiver(quiver, minimum)) == (0,)
 
-    def test_rejects_nonpositive(self):
-        _, _, quiver = instance("quarter_112")
-        with pytest.raises(UnsupportedLatticeError, match="positive type"):
-            max_element(quiver, (2, 2, 0))
+    @pytest.mark.parametrize("m, weights, cut_type", [
+        (4, (1, 1, 2), (2, 2, 0)),
+        (12, (1, 5, 6), (6, 6, 0)),
+        (6, (1, 2, 3), (3, 0, 3)),
+    ], ids=["1/4(1,1,2)", "1/12(1,5,6)", "1/6(1,2,3)"])
+    def test_nonpositive_type_matches_oracle_ends(self, m, weights, cut_type):
+        quiver = cyclic_quiver(m, weights)
+        top, bottom = oracle_extremes(quiver, cut_type)
+        assert max_element(quiver, cut_type).arrows == top
+        assert min_element(quiver, cut_type).arrows == bottom
+
+    def test_every_admissible_type_of_small_groups(self):
+        # The named groups and every faithful 1/m(a,b,c) with m <= 12,
+        # one per distinct lattice: 995 types, nonpositive ones included.
+        specs = [instance(name)[0] for name in sorted(NAMED_SPECS)]
+        specs += [
+            GroupSpec.make(2, [(m, (a, b, (-a - b) % m))])
+            for m in range(2, 13)
+            for a in range(m)
+            for b in range(m)
+            if gcd(gcd(a, b), m) == 1
+        ]
+        seen = set()
+        for spec in specs:
+            emb = embedding_from_spec(spec)
+            if (emb.n, emb.hnf) in seen:
+                continue
+            seen.add((emb.n, emb.hnf))
+            quiver = build_mckay(emb)
+            for cut_type in enumerate_types(emb).all_types:
+                lattice = enumerate_cut_lattice(quiver, cut_type)
+                maximum = max_element(quiver, cut_type)
+                assert maximum == lattice.cuts[lattice.max_index], cut_type
+                assert maximum == max_via_p(quiver, cut_type), cut_type
+                minimum = min_element(quiver, cut_type)
+                assert minimum == lattice.cuts[lattice.min_index], cut_type
+        assert len(seen) == 121
 
 
 class TestMaxViaP:
@@ -443,6 +487,8 @@ class TestNonpositiveLatticeProperties:
         assert vecs[lattice.max_index] == tuple(map(max, zip(*vecs)))
         assert vecs[lattice.min_index] == tuple(map(min, zip(*vecs)))
         assert max_via_p(quiver, cut_type) == lattice.cuts[lattice.max_index]
+        assert max_element(quiver, cut_type) == lattice.cuts[lattice.max_index]
+        assert min_element(quiver, cut_type) == lattice.cuts[lattice.min_index]
 
 
 class TestHasseTransitiveReduction:
