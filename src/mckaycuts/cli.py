@@ -4,17 +4,27 @@ Subcommands: analyze | types | construct | lattice | extremes | verify |
 export-dot.  Input is a JSON group description via --input or stdin.
 Exit codes: 0 ok, 1 verification failures, 2 malformed input, 3
 unsupported size, 4 inadmissible type, 5 an ``extremes`` maximum that
-failed certification (the path bound in ``max_via_p`` says it never does).
+failed certification (the path bound in ``max_via_p`` says it never does),
+141 stdout closed by its reader before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
+from collections.abc import Iterator
 from math import factorial
 
-from .construct import construct_cut, cut_from_json, cut_to_json, degree_zero_presentation
+from .construct import (
+    _arrow_json,
+    construct_cut,
+    cut_from_json,
+    cut_to_json,
+    degree_zero_presentation,
+)
 from .errors import (
     InadmissibleTypeError,
     NonFaithfulSpecError,
@@ -36,8 +46,12 @@ EXIT_SIZE = 3
 EXIT_INADMISSIBLE = 4
 EXIT_UNSUPPORTED = 5
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+
 DEFAULT_MAX_M = 5000
 DEFAULT_BUDGET = 6
+
+_TYPE_ENTRY = re.compile(r"[+-]?[0-9]+")
 
 
 class _CliError(Exception):
@@ -67,10 +81,11 @@ def _load(args) -> tuple:
 
 
 def _parse_type(text: str, n: int) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.replace(" ", "").split(","))
-    except ValueError as exc:
-        raise _CliError(EXIT_PARSE, f"malformed type vector {text!r}") from exc
+    # int() alone would also read "1_1" and non-ASCII digits.
+    entries = text.replace(" ", "").split(",")
+    if not all(_TYPE_ENTRY.fullmatch(p) for p in entries):
+        raise _CliError(EXIT_PARSE, f"malformed type vector {text!r}")
+    parts = tuple(map(int, entries))
     if len(parts) != n + 1:
         raise _CliError(
             EXIT_PARSE, f"type vector must have {n + 1} entries, got {len(parts)}"
@@ -79,8 +94,11 @@ def _parse_type(text: str, n: int) -> tuple[int, ...]:
 
 
 def _emit(payload) -> None:
+    """Write a string, an iterator of strings, or a JSON payload to stdout."""
     if isinstance(payload, str):
         sys.stdout.write(payload)
+    elif isinstance(payload, Iterator):
+        sys.stdout.writelines(payload)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -137,15 +155,9 @@ def _cmd_construct(args) -> int:
             "cut": cut_to_json(cut),
             "height": height_from_cut(quiver, cut).to_json(),
             "degree_zero": {
-                "arrows": [
-                    {"source": list(quiver.vertices[v]), "arrow_type": t}
-                    for v, t in sub.arrows
-                ],
+                "arrows": [_arrow_json(quiver, v, t) for v, t in sub.arrows],
                 "relations": [
-                    [
-                        {"source": list(quiver.vertices[v]), "arrow_type": t}
-                        for v, t in square
-                    ]
+                    [_arrow_json(quiver, v, t) for v, t in square]
                     for square in relations
                 ],
             },
@@ -162,7 +174,7 @@ def _cmd_lattice(args) -> int:
     if args.format == "dot":
         _emit(lattice.hasse_dot())
     else:
-        _emit(lattice.to_json())
+        _emit(lattice.json_chunks())
     return EXIT_OK
 
 
@@ -290,7 +302,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -301,6 +315,15 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # The reader went away (say, ``| head``).  As in the SIGPIPE note
+        # of the Python docs, point stdout at devnull so that the final
+        # flush fails no more; the SIGPIPE handler is left alone because
+        # main also runs inside other programs.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

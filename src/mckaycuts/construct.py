@@ -88,14 +88,16 @@ def degree_zero_presentation(
     return cut_quiver(quiver, cut), tuple(relations)
 
 
+def _arrow_json(quiver: McKayQuiver, v: int, t: int) -> dict:
+    """The JSON object of the arrow of type t out of vertex v."""
+    return {"source": list(quiver.vertices[v]), "arrow_type": t}
+
+
 def cut_to_json(cut: Cut) -> dict:
     quiver = cut.quiver
     return {
         "type": list(type_of(cut)),
-        "arrows": [
-            {"source": list(quiver.vertices[v]), "arrow_type": t}
-            for v, t in cut.sorted_arrows()
-        ],
+        "arrows": [_arrow_json(quiver, v, t) for v, t in cut.sorted_arrows()],
     }
 
 

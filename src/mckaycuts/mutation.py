@@ -33,11 +33,13 @@ as the cut-level API.
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 
-from .construct import construct_cut, cut_to_json
+from .construct import _arrow_json, construct_cut, cut_to_json
 from .errors import SearchBoundExceededError
 from .heights import (
     HeightFunction,
@@ -138,7 +140,9 @@ class MutationLattice:
     ``cuts`` are sorted by their vectors lexicographically, so output is
     deterministic; ``hasse_edges`` are (lower index, upper index, vertex)
     triples and are only populated for positive types, where covers are
-    mutations.
+    mutations.  ``to_json`` builds the JSON tree; ``json_chunks`` writes
+    the same tree's ``indent=2`` text piece by piece without building
+    it, which is how the ``lattice`` command prints it.
     """
 
     cut_type: Vec
@@ -166,6 +170,44 @@ class MutationLattice:
             "min_index": self.min_index,
         }
 
+    def json_chunks(self):
+        """Yield ``json.dumps(self.to_json(), indent=2) + "\\n"`` in pieces.
+
+        The text is written about one cut at a time and neither the dict
+        tree nor the whole string is built.  An arrow's object depends
+        only on (vertex, type), and every cut has the lattice's type, so
+        each fragment is encoded once by re-indenting ``json.dumps`` and
+        then reused.
+        """
+        quiver = self.cuts[0].quiver
+        arrow = cache(lambda a: _indented(_arrow_json(quiver, *a), 4))
+        vertex = cache(lambda vx: _indented(list(quiver.vertices[vx]), 3))
+        cut_head = (
+            '{\n      "type": ' + _indented(list(self.cut_type), 3)
+            + ',\n      "arrows": '
+        )
+        cut_texts = (
+            cut_head
+            + "".join(_json_array(map(arrow, c.sorted_arrows()), 3))
+            + "\n    }"
+            for c in self.cuts
+        )
+        edge_texts = (
+            f'{{\n      "lower": {lo},\n      "upper": {hi},\n'
+            f'      "vertex": {vertex(vx)}\n    }}'
+            for lo, hi, vx in self.hasse_edges
+        )
+        yield '{\n  "type": ' + _indented(list(self.cut_type), 1) + ',\n  "cuts": '
+        yield from _json_array(cut_texts, 1)
+        yield ',\n  "v_vectors": '
+        yield from _json_array((_indented(list(v), 2) for v in self.v_vectors), 1)
+        yield ',\n  "hasse_edges": '
+        yield from _json_array(edge_texts, 1)
+        yield (
+            f',\n  "max_index": {self.max_index},'
+            f'\n  "min_index": {self.min_index}\n}}\n'
+        )
+
     def hasse_dot(self) -> str:
         quiver = self.cuts[0].quiver
         lines = ["digraph hasse {", "  rankdir=BT;"]
@@ -177,6 +219,25 @@ class MutationLattice:
             lines.append(f'  c{lo} -> c{hi} [label="{rep}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _indented(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` as it reads nested ``depth`` levels deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_array(texts, depth: int):
+    """Yield a JSON array ``depth`` levels deep, one chunk per item.
+
+    The items come encoded for depth ``depth + 1``; the layout is that
+    of ``json.dumps(..., indent=2)``, including ``[]`` for no items.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    empty = True
+    for text in texts:
+        yield ("[" if empty else ",") + pad + text
+        empty = False
+    yield "[]" if empty else pad[:-2] + "]"
 
 
 def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:

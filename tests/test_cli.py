@@ -12,6 +12,7 @@ from mckaycuts import cli
 from mckaycuts.construct import cut_from_json
 from mckaycuts.errors import SearchBoundExceededError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
+from mckaycuts.mutation import MutationLattice, enumerate_cut_lattice
 from mckaycuts.quiver import build_mckay
 from conftest import oracle_extremes
 from oracles import all_cuts_exhaustive
@@ -220,6 +221,16 @@ class TestErrorPaths:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spelling", ["1_1,0,1", "\u0663,\u0663,\u0666"])
+    def test_non_ascii_integer_type_exits_2(self, capsys, write_input, spelling):
+        # int() reads these as (11, 0, 1) and (3, 3, 6).
+        code, out, err = run_cli(
+            capsys,
+            ["--input", write_input(THIRD), "lattice", "--type", spelling],
+        )
+        assert code == 2 and out == ""
+        assert "malformed type vector" in err
+
     def test_lattice_budget_option_removed(self, capsys, write_input):
         for command in (["lattice"], ["export-dot", "hasse"]):
             with pytest.raises(SystemExit) as exc:
@@ -354,6 +365,49 @@ class TestLatticeAndExtremes:
     def test_extremes_at_m_2000_in_bounded_time(self, write_input):
         payload = extremes_in_child(write_input, 2000, (1, 5, 1994), "566,830,604")
         assert payload["methods_agree"] is True
+
+
+class TestLatticeStreaming:
+    GROUP = {"n": 2, "generators": [{"order": 24, "weights": [1, 5, 18]}]}
+
+    def test_stdout_is_to_json_byte_for_byte(self, capsys, write_input, monkeypatch):
+        quiver = build_mckay(embedding_from_spec(GroupSpec.make(2, [(24, (1, 5, 18))])))
+        lattice = enumerate_cut_lattice(quiver, (7, 11, 6))
+        expected = json.dumps(lattice.to_json(), indent=2) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice dict tree was built")
+
+        monkeypatch.setattr(MutationLattice, "to_json", refuse)
+        monkeypatch.setattr(json, "dump", refuse)
+        code, out, _ = run_cli(
+            capsys,
+            ["--input", write_input(self.GROUP), "lattice", "--type", "7,11,6"],
+        )
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("group, command, read", [
+        # About 6 MB of output, more than a pipe buffer holds.
+        (GROUP, ["lattice", "--type", "7,11,6"], 100),
+        # A short output still in the stdout buffer when the reader is gone.
+        (THIRD, ["types"], 0),
+    ])
+    def test_closed_pipe_exits_141_quietly(self, write_input, group, command, read):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input(group), *command],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""  # no traceback, no "Exception ignored" at exit
 
 
 class TestVerify:

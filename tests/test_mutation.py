@@ -1,5 +1,7 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
+import json
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -44,6 +46,29 @@ def lattice_instances():
         _, emb, quiver = instance(name)
         for cut_type in enumerate_types(emb).positive_types:
             yield name, quiver, cut_type
+
+
+@lru_cache(maxsize=None)
+def small_group_quivers():
+    """The named groups and every faithful 1/m(a,b,c) with m <= 12.
+
+    One quiver per distinct lattice: 121 of them, with 995 admissible
+    types, nonpositive ones included.
+    """
+    specs = [instance(name)[0] for name in sorted(NAMED_SPECS)]
+    specs += [
+        GroupSpec.make(2, [(m, (a, b, (-a - b) % m))])
+        for m in range(2, 13)
+        for a in range(m)
+        for b in range(m)
+        if gcd(gcd(a, b), m) == 1
+    ]
+    quivers = {}
+    for spec in specs:
+        emb = embedding_from_spec(spec)
+        if (emb.n, emb.hnf) not in quivers:
+            quivers[emb.n, emb.hnf] = build_mckay(emb)
+    return tuple(quivers.values())
 
 
 class TestMutableVertices:
@@ -321,31 +346,16 @@ class TestExtremes:
         assert min_element(quiver, cut_type).arrows == bottom
 
     def test_every_admissible_type_of_small_groups(self):
-        # The named groups and every faithful 1/m(a,b,c) with m <= 12,
-        # one per distinct lattice: 995 types, nonpositive ones included.
-        specs = [instance(name)[0] for name in sorted(NAMED_SPECS)]
-        specs += [
-            GroupSpec.make(2, [(m, (a, b, (-a - b) % m))])
-            for m in range(2, 13)
-            for a in range(m)
-            for b in range(m)
-            if gcd(gcd(a, b), m) == 1
-        ]
-        seen = set()
-        for spec in specs:
-            emb = embedding_from_spec(spec)
-            if (emb.n, emb.hnf) in seen:
-                continue
-            seen.add((emb.n, emb.hnf))
-            quiver = build_mckay(emb)
-            for cut_type in enumerate_types(emb).all_types:
+        quivers = small_group_quivers()
+        for quiver in quivers:
+            for cut_type in enumerate_types(quiver.embedding).all_types:
                 lattice = enumerate_cut_lattice(quiver, cut_type)
                 maximum = max_element(quiver, cut_type)
                 assert maximum == lattice.cuts[lattice.max_index], cut_type
                 assert maximum == max_via_p(quiver, cut_type), cut_type
                 minimum = min_element(quiver, cut_type)
                 assert minimum == lattice.cuts[lattice.min_index], cut_type
-        assert len(seen) == 121
+        assert len(quivers) == 121
 
 
 class TestMaxViaP:
@@ -515,3 +525,33 @@ class TestHasseTransitiveReduction:
             reduction = set(nx.transitive_reduction(order).edges)
             assert len(lattice.hasse_edges) == len(reduction)
             assert {(lo, hi) for lo, hi, _ in lattice.hasse_edges} == reduction
+
+
+def dumped(lattice) -> str:
+    return json.dumps(lattice.to_json(), indent=2) + "\n"
+
+
+class TestLatticeJsonChunks:
+    def test_matches_to_json_on_every_type_of_small_groups(self):
+        nonpositive = single = 0
+        for quiver in small_group_quivers():
+            for cut_type in enumerate_types(quiver.embedding).all_types:
+                lattice = enumerate_cut_lattice(quiver, cut_type)
+                assert "".join(lattice.json_chunks()) == dumped(lattice), cut_type
+                nonpositive += not all(cut_type)
+                single += len(lattice.cuts) == 1
+        # Both edge cases occur: empty hasse_edges and one-cut lattices.
+        assert nonpositive > 0 and single > 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_to_json_on_random_cyclic_groups(self, data):
+        m = data.draw(st.integers(2, 16))
+        a = data.draw(st.integers(0, m - 1))
+        b = data.draw(st.integers(0, m - 1))
+        assume(gcd(gcd(a, b), m) == 1)
+        quiver = cyclic_quiver(m, (a, b, -a - b))
+        types = enumerate_types(quiver.embedding).all_types
+        cut_type = data.draw(st.sampled_from(types))
+        lattice = enumerate_cut_lattice(quiver, cut_type)
+        assert "".join(lattice.json_chunks()) == dumped(lattice)
