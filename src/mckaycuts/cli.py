@@ -51,7 +51,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 DEFAULT_MAX_M = 5000
 DEFAULT_BUDGET = 6
 
+# int() alone would also read "1_1" and non-ASCII digits.
 _TYPE_ENTRY = re.compile(r"[+-]?[0-9]+")
+_COUNT = re.compile(r"[0-9]+")
 
 
 class _CliError(Exception):
@@ -68,20 +70,22 @@ def _load(args) -> tuple:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
         obj = json.loads(text)
+        # Refuse a large n before its n x n basis is built and reduced.
+        n = obj.get("n") if isinstance(obj, dict) else None
+        if type(n) is int and n > 6:
+            raise _CliError(EXIT_SIZE, f"unsupported size: n = {n} (limit: n <= 6)")
         embedding, spec = parse_input(obj)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _CliError(EXIT_PARSE, f"malformed input: {exc}") from exc
-    if embedding.m > args.max_m or embedding.n > 6:
+    if embedding.m > args.max_m:
         raise _CliError(
             EXIT_SIZE,
-            f"unsupported size: m = {embedding.m}, n = {embedding.n} "
-            f"(limits: m <= {args.max_m}, n <= 6)",
+            f"unsupported size: m = {embedding.m} (limit: m <= {args.max_m})",
         )
     return embedding, spec
 
 
 def _parse_type(text: str, n: int) -> tuple[int, ...]:
-    # int() alone would also read "1_1" and non-ASCII digits.
     entries = text.replace(" ", "").split(",")
     if not all(_TYPE_ENTRY.fullmatch(p) for p in entries):
         raise _CliError(EXIT_PARSE, f"malformed type vector {text!r}")
@@ -237,10 +241,9 @@ def _cmd_export_dot(args) -> int:
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
+    if not _COUNT.fullmatch(text):
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-m",
-        type=int,
+        type=_nonnegative,
         default=DEFAULT_MAX_M,
         help="refuse instances with group order above this bound",
     )

@@ -13,8 +13,9 @@ The step of h along the arrow ``(u, t)`` to ``w`` is
 ``h[w] + lift[u][t-1] - h[u]``, where the lift is the height of the
 arrow's L1 wrap: ``McKayQuiver.arrow_wraps`` (computed once per quiver)
 dotted with the L1 values, as ``McKayQuiver.arrow_lifts`` gives it.
-Cut -> height, height -> cut and the lattice walk in
-:mod:`mckaycuts.mutation` all read steps this way.
+Cut -> height and height -> cut read steps this way.  The lattice walk
+and the extremes in :mod:`mckaycuts.mutation` work on relative height
+vectors and never see a step or a lift.
 """
 
 from __future__ import annotations

@@ -2,23 +2,24 @@
 
 Mutating a cut at a source (sink) of its cut quiver swaps the cut
 status of the arrows at that vertex and raises (lowers) the height
-function there by n+1.  Identifying each cut with its height vector
-relative to a seed cut of the same type turns the cuts of any
-admissible type into a finite distributive sublattice of Z^m: the
-integer points of one difference constraint per arrow (the height
-picture of Propp, "Lattice structure for orientations of graphs",
-arXiv:math/0209005).
+function there by n+1.  Identifying each cut with its v-vector, its
+heights minus those of a seed cut of the same type over n+1, turns the
+cuts of any admissible type into a finite distributive sublattice of
+Z^m: the integer points of one difference constraint per arrow (the
+height picture of Propp, "Lattice structure for orientations of
+graphs", arXiv:math/0209005).
 
-One walk enumerates every type.  It runs on integer height vectors,
-starting from the seed's height, computed once.  Arrows of a type with
-count 0 are never cut, so heights are constant along them and the walk
-moves whole classes (connected components of those arrows) by n+1: up
-when every arrow out of the class steps +1 and every arrow into it
-steps -n, down when the signs are swapped.  For a positive type every
-class is a single vertex and the moves are exactly the mutations at
-nonzero sources and sinks, which are the covers of the lattice.  Cuts
-are read off the final heights with the same step check as
-:func:`mckaycuts.heights.cut_from_height`.
+The lattice walk and both extremes work on those constraints alone,
+read off the seed cut's arrows by ``_Bounds``; height functions, L1
+values and arrow lifts stay in :mod:`mckaycuts.heights`.  One walk
+enumerates every type.  It runs on v-vectors, starting from the seed's,
+zero.  Arrows of a type with count 0 are never cut, so v is constant
+along them and the walk moves whole classes (connected components of
+those arrows) by one: up when every bound leaving the class has slack
+1, down when every one has slack 0.  For a positive type every class is
+a single vertex and the moves are exactly the mutations at nonzero
+sources and sinks, which are the covers of the lattice.  A cut is read
+off its vector as the arrows whose difference is at its lower bound.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -27,8 +28,8 @@ difference constraints; ``max_via_p``, the paper's direct construction
 of the maximum, runs it over the quiver with an arrow of type t
 weighing the type's t-th entry.  The two maxima are independent and
 cross-check each other.  ``mutable_vertices``,
-``mutate_source``/``mutate_sink`` and ``relative_height_vector`` remain
-as the cut-level API.
+``mutate_source``/``mutate_sink``, ``relative_height_vector`` and
+``meet``/``join`` remain as the cut-level API, on heights.
 """
 
 from __future__ import annotations
@@ -41,13 +42,7 @@ from heapq import heappop, heappush
 
 from .construct import _arrow_json, construct_cut, cut_to_json
 from .errors import SearchBoundExceededError
-from .heights import (
-    HeightFunction,
-    _l1_values,
-    cut_from_height,
-    drops,
-    height_from_cut,
-)
+from .heights import HeightFunction, _l1_values, cut_from_height, height_from_cut
 from .intlat import Vec
 from .quiver import (
     Cut,
@@ -96,17 +91,11 @@ def relative_height_vector(cut: Cut, reference: Cut) -> Vec:
     quiver = cut.quiver
     if type_of(cut) != type_of(reference):
         raise ValueError("relative heights require cuts of the same type")
-    h = height_from_cut(quiver, cut)
-    h_ref = height_from_cut(quiver, reference)
-    return _relative(h.values, h_ref.values, quiver.n + 1)
-
-
-def _relative(values, reference, rise: int) -> Vec:
-    out = []
-    for a, b in zip(values, reference):
-        assert (a - b) % rise == 0
-        out.append((a - b) // rise)
-    return tuple(out)
+    rise = quiver.n + 1
+    h = height_from_cut(quiver, cut).values
+    h_ref = height_from_cut(quiver, reference).values
+    assert all((a - b) % rise == 0 for a, b in zip(h, h_ref))
+    return tuple((a - b) // rise for a, b in zip(h, h_ref))
 
 
 def _extremal_height(cut_a: Cut, cut_b: Cut, pick) -> HeightFunction:
@@ -249,93 +238,104 @@ def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
     raise AssertionError("cut lattice is not closed under meet/join")
 
 
-class _HeightSteps:
-    """Class moves on the height vectors of one cut type.
+class _Bounds:
+    """The cuts of one type as difference constraints on v-vectors.
+
+    Everything is read from the seed cut s = ``construct_cut(quiver,
+    cut_type)``.  Along each arrow u -> w a cut's v-vector keeps ``low
+    <= v[w] - v[u] <= low + 1``, with low = 0 if s cuts the arrow and -1
+    if not, and the cut holds the arrow exactly when the difference is
+    at its lower bound (see :func:`enumerate_cut_lattice`).  ``arrows``
+    lists these as (u, t, w, low), t being the arrow's type.
+    ``edges[x]`` lists the pairs (y, low) that bound ``v[y] - v[x]`` to
+    {low, low + 1}: the arrow gives (w, low) at u and (u, -1 - low) at w.
 
     A class is a connected component of the arrows whose type has count
-    0; those arrows are never cut, so heights move a whole class at once.
-    Every class is a single vertex when the type is positive.  Class 0
-    holds the origin and never moves.
+    0; s holds none of them and no cut does, so v is constant on each
+    class.  Every class is a single vertex when the type is positive.
+    ``classes`` holds, for every class but the origin's, its members and
+    the edges (x, y, low) leaving it.
     """
 
-    def __init__(self, quiver: McKayQuiver, l1_values, cut_type) -> None:
-        lifts = quiver.arrow_lifts(l1_values)
-        zero = [t - 1 for t in quiver.types if cut_type[t - 1] == 0]
+    def __init__(self, quiver: McKayQuiver, cut_type) -> None:
+        seed = construct_cut(quiver, cut_type).arrows
+        self.quiver = quiver
+        self.arrows = [
+            (u, t, w, -((u, t) not in seed))
+            for u, row in enumerate(quiver.targets)
+            for t, w in enumerate(row, start=1)
+        ]
+        self.edges = [[] for _ in range(quiver.m)]
+        for u, _, w, low in self.arrows:
+            self.edges[u].append((w, low))
+            self.edges[w].append((u, -1 - low))
+        zero = set(quiver.types).difference(t for _, t in seed)
         # Each count-0 arrow lies on a cycle of its own type, so following
         # out-arrows alone finds the components.
         label = [-1] * quiver.m
-        members = []
+        self.classes = []
         for start in range(quiver.m):
             if label[start] < 0:
-                label[start] = len(members)
+                label[start] = start
                 group = [start]
                 for v in group:
-                    for w in (quiver.targets[v][t] for t in zero):
+                    for w in (quiver.targets[v][t - 1] for t in zero):
                         if label[w] < 0:
-                            label[w] = label[start]
+                            label[w] = start
                             group.append(w)
-                members.append(tuple(group))
-        # Arrows crossing each class boundary, as (tail, head, lift).
-        self.out = [[] for _ in members]
-        self.into = [[] for _ in members]
-        for u, row in enumerate(quiver.targets):
-            for w, lift in zip(row, lifts[u]):
-                if label[u] != label[w]:
-                    self.out[label[u]].append((u, w, lift))
-                    self.into[label[w]].append((u, w, lift))
-        self.quiver = quiver
-        self.lifts = lifts
-        self.rise = quiver.n + 1
-        self.members = tuple(members)
+                # The class is complete, so the edges leaving it are known.
+                leaving = [
+                    (x, y, low)
+                    for x in group
+                    for y, low in self.edges[x]
+                    if label[y] != start
+                ]
+                if start:
+                    self.classes.append((group, leaving))
 
-    def direction(self, h, c: int) -> int:
-        """+1 if class c can rise by n+1, -1 if it can fall, else 0.
+    def cut(self, v) -> Cut:
+        """The cut holding the arrows whose difference is at its lower bound.
 
-        It can rise when every arrow out of it steps +1 and every arrow
-        into it steps -n, and fall in the reverse case; for a single
-        vertex these are a source and a sink of the cut quiver.  Arrows
-        inside the class, loops included, keep their steps.
+        Raises ValueError when some difference leaves its two values,
+        that is, when v belongs to no cut of the type.
         """
-        u, w, lift = self.out[c][0]
-        up = h[w] + lift - h[u]
-        down = 1 - self.quiver.n - up  # steps are +1 and -n
-        if all(h[w] + lift - h[u] == up for u, w, lift in self.out[c]) and all(
-            h[w] + lift - h[u] == down for u, w, lift in self.into[c]
-        ):
-            return 1 if up == 1 else -1
-        return 0
-
-    def moved(self, h, c: int, sign: int) -> tuple[int, ...]:
-        out = list(h)
-        for x in self.members[c]:
-            out[x] += sign * self.rise
-        return tuple(out)
-
-    def cut(self, h) -> Cut:
-        return Cut(quiver=self.quiver, arrows=drops(self.quiver, h, self.lifts))
+        slack = {(u, t): v[w] - v[u] - low for u, t, w, low in self.arrows}
+        if not set(slack.values()) <= {0, 1}:
+            raise ValueError(f"{tuple(v)} leaves the seed cut's bounds")
+        return Cut(
+            quiver=self.quiver,
+            arrows=frozenset(a for a, s in slack.items() if not s),
+        )
 
 
-def _walk_lattice(steps: _HeightSteps, start: Vec):
-    """Close a height vector under moves of the classes other than 0.
+def _walk_lattice(bounds: _Bounds):
+    """Close the seed's v-vector, zero, under moves of the classes.
 
-    Returns the set of heights reached and the rises as ``(lower,
-    upper, vertex)`` triples of heights, the vertex being the first
-    member of the class that moved.  Each rise is recorded once, from
-    its lower end.
+    A class can rise by one when every edge leaving it has slack 1 (its
+    difference at the upper bound) and fall by one when every such edge
+    has slack 0; for a single vertex these are a source and a sink of
+    the cut quiver.  Edges inside a class, loops included, keep their
+    slack.  Returns the vectors reached and the rises as ``(lower,
+    upper, vertex)`` triples, the vertex being the first of the class
+    that moved.  Each rise is recorded once, from its lower end.
     """
-    classes = range(1, len(steps.members))
+    start = (0,) * bounds.quiver.m
     seen = {start}
     stack = [start]
     rises = []
     while stack:
-        h = stack.pop()
-        for c in classes:
-            sign = steps.direction(h, c)
-            if not sign:
+        v = stack.pop()
+        for members, leaving in bounds.classes:
+            x, y, low = leaving[0]
+            slack = v[y] - v[x] - low
+            if any(v[y] - v[x] - low != slack for x, y, low in leaving):
                 continue
-            moved = steps.moved(h, c, sign)
-            if sign > 0:
-                rises.append((h, moved, steps.members[c][0]))
+            moved = list(v)
+            for u in members:
+                moved[u] += 2 * slack - 1
+            moved = tuple(moved)
+            if slack:
+                rises.append((v, moved, members[0]))
             if moved not in seen:
                 seen.add(moved)
                 stack.append(moved)
@@ -346,14 +346,16 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     """The full lattice of cuts of one admissible type.
 
     Write g for the type and let v be a cut's height vector relative to
-    the constructed seed cut s.  The cuts of type g are exactly the
-    integer vectors with ``v[0] = 0`` and, along every non-loop arrow
-    u -> w, ``v[w] - v[u]`` in {0, 1} if s cuts the arrow and in
-    {-1, 0} otherwise: adding (n+1)*v keeps the L1 values, hence the
-    type, and keeps each step at +1 or -n.  An arrow of a type with
-    g_t = 0 is never cut and its orbit is a cycle, so v is constant on
-    each class (a component of those arrows).  The set is closed under
-    componentwise min and max, so it is a distributive lattice.
+    the constructed seed cut s, over n+1.  The cuts of type g are exactly
+    the integer vectors with ``v[0] = 0`` and, along every arrow u -> w,
+    ``v[w] - v[u]`` in {0, 1} if s cuts the arrow and in {-1, 0}
+    otherwise, the arrow being cut at the lower value: adding (n+1)*v
+    to the seed's heights keeps the L1 values, hence the type, and keeps
+    each step at +1 or -n.  A loop's difference is 0, which is allowed
+    whether s cuts it or not.  An arrow of a type with g_t = 0 is never
+    cut and its orbit is a cycle, so v is constant on each class (a
+    component of those arrows).  The set is closed under componentwise
+    min and max, so it is a distributive lattice.
 
     Every cover a < b moves one class by one.  With T the classes where
     b - a is largest, a + 1_T lies in the set, so b = a + 1_T.  If no
@@ -369,8 +371,10 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     Every term on the left is <= 0 and every term on the right > 0, so
     the walk only crosses cut arrows of a type with g_t = m.  Then the
     other n types have count 0 and link every vertex into class 0,
-    which never moves, so T is empty.  The walk from the seed through
-    single class moves, down to a meet and up again, reaches every cut.
+    which never moves, so T is empty.  The walk on v-vectors from the
+    seed's, zero, through single class moves, down to a meet and up
+    again, reaches every cut, and each cut is read off its vector; no
+    height function is computed.
 
     For a positive type each class is one vertex, its moves are the
     mutations at nonzero sources and sinks, and each cover is a Hasse
@@ -378,24 +382,20 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     covers move whole classes rather than single vertices.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
-    seed_height = height_from_cut(quiver, construct_cut(quiver, cut_type))
-    steps = _HeightSteps(quiver, seed_height.l1_values, cut_type)
-    heights, rises = _walk_lattice(steps, seed_height.values)
-    by_height = {h: steps.cut(h) for h in heights}
-    assert all(type_of(c) == cut_type for c in by_height.values())
+    bounds = _Bounds(quiver, cut_type)
+    vectors, rises = _walk_lattice(bounds)
+    v_vectors = tuple(sorted(vectors))
+    cuts = tuple(map(bounds.cut, v_vectors))
+    assert all(type_of(c) == cut_type for c in cuts)
     covers = rises if all(g > 0 for g in cut_type) else ()
-    vectors = {
-        h: _relative(h, seed_height.values, steps.rise) for h in by_height
-    }
-    ordered = sorted(by_height, key=vectors.__getitem__)
-    order = {h: i for i, h in enumerate(ordered)}
-    v_vectors = tuple(vectors[h] for h in ordered)
-    hasse = tuple(sorted((order[lo], order[hi], vx) for lo, hi, vx in covers))
+    order = {v: i for i, v in enumerate(v_vectors)}
     return MutationLattice(
         cut_type=cut_type,
-        cuts=tuple(by_height[h] for h in ordered),
+        cuts=cuts,
         v_vectors=v_vectors,
-        hasse_edges=hasse,
+        hasse_edges=tuple(
+            sorted((order[lo], order[hi], vx) for lo, hi, vx in covers)
+        ),
         max_index=_dominant_index(v_vectors, max),
         min_index=_dominant_index(v_vectors, min),
     )
@@ -424,33 +424,29 @@ def _distances(adjacency) -> list[int]:
 def _extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
     """Maximal (sign +1) or minimal (sign -1) cut of an admissible type.
 
-    Let s be the seed cut and v a cut's height vector relative to it, so
-    its heights are ``h_s + (n+1) v``.  The cuts of the type are the
-    integer v with ``v[0] = 0`` and, along each arrow u -> w, ``v[w] -
-    v[u]`` in {0, 1} if s cuts it and in {-1, 0} if not (see
-    :func:`enumerate_cut_lattice`).  Each bound is an edge of a graph: a
-    cut arrow gives u -> w of weight 1 and w -> u of weight 0, an uncut
-    arrow the weights swapped.  Summing the bounds along a shortest path
-    from 0 gives ``v[x] <= dist(x)`` for every cut, and dist satisfies
-    every bound (the triangle inequality) with ``dist(0) = 0``, so dist
-    is the componentwise maximum: the top of the lattice.  The bottom is
-    the same argument for -v, whose bounds are the two weights swapped
-    again.  A loop gives edges from a vertex to itself, which change no
-    distance.
+    The cuts of the type are the integer v-vectors with ``v[0] = 0``
+    and ``low <= v[y] - v[x] <= low + 1`` for every pair (y, low) in
+    ``edges[x]`` of the seed cut's bounds (see :class:`_Bounds`).  Read
+    the upper bounds as edges x -> y of weight low + 1, which is 0 or 1.
+    Summing them along a shortest path from 0 gives ``v[x] <= dist(x)``
+    for every cut, and dist satisfies every bound (the triangle
+    inequality; each lower bound is the upper bound of the partner pair
+    (x, -1 - low) at y) with ``dist(0) = 0``, so dist is the
+    componentwise maximum: the top of the lattice.  The bottom is the
+    same argument for -v, whose upper bounds ``v[x] - v[y] <= -low``
+    weigh the edges x -> y by -low: the maximum's edges reversed.  The
+    cut is read off ``sign * dist``; a loop gives edges from a vertex to
+    itself, which change no distance.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
-    seed = construct_cut(quiver, cut_type)
-    seed_height = height_from_cut(quiver, seed)
-    adjacency = [[] for _ in range(quiver.m)]
-    for u, row in enumerate(quiver.targets):
-        for t, w in enumerate(row, start=1):
-            forward = int(((u, t) in seed.arrows) == (sign > 0))
-            adjacency[u].append((w, forward))
-            adjacency[w].append((u, 1 - forward))
-    rise, dist = sign * (quiver.n + 1), _distances(adjacency)
-    heights = [h + rise * d for h, d in zip(seed_height.values, dist)]
-    lifts = quiver.arrow_lifts(seed_height.l1_values)
-    cut = Cut(quiver=quiver, arrows=drops(quiver, heights, lifts))
+    bounds = _Bounds(quiver, cut_type)
+    dist = _distances(
+        [
+            [(y, low + 1 if sign > 0 else -low) for y, low in row]
+            for row in bounds.edges
+        ]
+    )
+    cut = bounds.cut([sign * d for d in dist])
     assert type_of(cut) == cut_type, (type_of(cut), cut_type)
     return cut
 

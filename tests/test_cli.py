@@ -206,6 +206,52 @@ class TestErrorPaths:
         assert code == 3
         assert "unsupported size" in err
 
+    def test_large_n_refused_before_the_basis_is_built(self, write_input):
+        # Building and reducing the 1000 x 1000 basis takes over a minute.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input({"n": 1000, "generators": []}), "types"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "unsupported size: n = 1000" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "group, code",
+        [
+            ({"n": 7}, 3),
+            ({"n": 7, "bprime": [[1]]}, 3),
+            ({"n": 7.5, "generators": []}, 2),
+            ({"n": 6}, 2),
+        ],
+        ids=["n7_no_generators", "n7_bad_bprime", "float_n", "n6_no_generators"],
+    )
+    def test_n_checked_before_the_rest_of_the_input(
+        self, capsys, write_input, group, code
+    ):
+        got, out, _ = run_cli(capsys, ["--input", write_input(group), "types"])
+        assert (got, out) == (code, "")
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0662", "\u0663", "-1"])
+    @pytest.mark.parametrize("option", ["--max-m", "--budget"])
+    def test_counts_take_ascii_digits_only(
+        self, capsys, write_input, option, spelling
+    ):
+        # int() reads the first three as 10, 2 and 3.
+        path = write_input(THIRD)
+        if option == "--max-m":
+            argv = ["--input", path, "--max-m", spelling, "types"]
+        else:
+            argv = ["--input", path, "verify", "--budget", spelling]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_inadmissible_type_exits_4(self, capsys, write_input):
         code, _, err = run_cli(
             capsys,

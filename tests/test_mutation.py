@@ -281,6 +281,18 @@ class TestEnumerateLattice:
         assert len(lattice.cuts) == n_cuts
         assert lattice.hasse_edges == ()
 
+    def test_v_vectors_are_relative_heights_on_every_type_of_small_groups(self):
+        # The walk never computes heights; tie its vectors to the bijection.
+        n_cuts = 0
+        for quiver in small_group_quivers():
+            for cut_type in enumerate_types(quiver.embedding).all_types:
+                lattice = enumerate_cut_lattice(quiver, cut_type)
+                seed = construct_cut(quiver, cut_type)
+                for cut, vec in zip(lattice.cuts, lattice.v_vectors):
+                    assert vec == relative_height_vector(cut, seed), cut_type
+                n_cuts += len(lattice.cuts)
+        assert n_cuts == 31_314
+
     def test_deterministic_output(self):
         _, _, quiver = instance("sixth_123")
         first = enumerate_cut_lattice(quiver, (1, 2, 3))
@@ -356,6 +368,16 @@ class TestExtremes:
                 minimum = min_element(quiver, cut_type)
                 assert minimum == lattice.cuts[lattice.min_index], cut_type
         assert len(quivers) == 121
+
+    def test_read_off_refuses_a_vector_breaking_a_bound(self, monkeypatch):
+        # The out-arrows of the origin keep v[w] - v[0] in {-1, 0, 1}, so
+        # a jump of 2 breaks their bounds.
+        quiver = instance("third_111")[2]
+        monkeypatch.setattr(
+            mutation, "_distances", lambda adjacency: [0] + [2] * (len(adjacency) - 1)
+        )
+        with pytest.raises(ValueError, match="bounds"):
+            max_element(quiver, (1, 1, 1))
 
 
 class TestMaxViaP:
