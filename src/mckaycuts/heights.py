@@ -9,13 +9,21 @@ representatives, in the quiver's vertex order) together with the
 homomorphism values on the HNF basis of L1; everything else follows by
 equivariance.
 
-The step of h along the arrow ``(u, t)`` to ``w`` is
-``h[w] + lift[u][t-1] - h[u]``, where the lift is the height of the
-arrow's L1 wrap: ``McKayQuiver.arrow_wraps`` (computed once per quiver)
-dotted with the L1 values, as ``McKayQuiver.arrow_lifts`` gives it.
-Cut -> height and height -> cut read steps this way.  The lattice walk
-and the extremes in :mod:`mckaycuts.mutation` work on relative height
-vectors and never see a step or a lift.
+Every height function of type gamma is built from the type-weighted
+vertex potential, as in the paper's construction of the maximal cut:
+with ``w_i = m - (n+1) * gamma_i`` for the first n entries,
+
+    h(x_v) = (<x_v, w> + (n+1) * g(v)) / m,
+
+where g is an integer potential on the m vertices with g(0) = 0.  Along
+an arrow of type t, g steps by gamma_t if the arrow is uncut and by
+gamma_t - m if it is cut, which is a step of h by +1 or -n.  Cut ->
+height assigns g breadth-first; height -> cut recovers gamma from the
+L1 values and g from the heights.  Both read the cut off one step check
+of g, and ``max_via_p`` passes its shortest-path distances, which are
+g, to the same construction.  The quiver keeps no per-type state; the
+lattice walk and the extremes in :mod:`mckaycuts.mutation` work on
+relative height vectors and never see a step.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from functools import lru_cache
 
 from .errors import NotACutError
 from .intlat import LatticeEmbedding, Vec
-from .quiver import Arrow, Cut, McKayQuiver
+from .quiver import Arrow, Cut, McKayQuiver, check_arrows
 
 
 def h_gamma(embedding: LatticeEmbedding, y, cut_type) -> int:
@@ -115,70 +123,99 @@ class HeightFunction:
         }
 
 
-def drops(quiver: McKayQuiver, values, lifts) -> frozenset[Arrow]:
-    """Arrows along which the heights fall by n.
+def _linear_parts(embedding: LatticeEmbedding, cut_type: Vec) -> list[int]:
+    """``<x_v, w>`` for every vertex v, with ``w_i = m - (n+1) * type_i``.
 
-    Raises ValueError when some step is neither +1 nor -n, that is, when
-    the vector is not a height function.
+    One pass over the box of the HNF diagonal, in the lexicographic
+    order of ``embedding.fundamental_domain()``, the vertex order.
     """
-    n = quiver.n
+    m, rise = embedding.m, embedding.n + 1
+    parts = [0]
+    for d, g in zip(embedding.diagonal, cut_type):
+        w = m - rise * g
+        parts = [a + c * w for a in parts for c in range(d)]
+    return parts
+
+
+def _heights(embedding: LatticeEmbedding, cut_type: Vec, potential) -> HeightFunction:
+    """The height function ``(<x_v, w> + (n+1) * g(v)) / m`` of a type."""
+    m, rise = embedding.m, embedding.n + 1
+    parts = _linear_parts(embedding, cut_type)
+    scaled = [a + rise * g for a, g in zip(parts, potential)]
+    values = [x // m for x in scaled]
+    assert [h * m for h in values] == scaled, cut_type
+    return HeightFunction(
+        embedding=embedding,
+        values=tuple(values),
+        l1_values=_l1_values(embedding, cut_type),
+    )
+
+
+def _cut_steps(quiver: McKayQuiver, cut_type: Vec, potential) -> frozenset[Arrow]:
+    """Arrows of type t along which the potential steps by ``type_t - m``.
+
+    Raises ValueError when some step is neither ``type_t`` nor ``type_t
+    - m``, that is, when the potential belongs to no cut of the type.
+    """
+    m, types = quiver.m, quiver.types
     out = []
     for u, row in enumerate(quiver.targets):
-        base = values[u]
-        for t, (w, lift) in enumerate(zip(row, lifts[u]), start=1):
-            delta = values[w] + lift - base
-            if delta == -n:
+        base = potential[u]
+        for t, w, g in zip(types, row, cut_type):
+            # The step minus type_t is 0 on an uncut arrow, -m on a cut one.
+            excess = potential[w] - base - g
+            if excess:
+                if excess != -m:
+                    raise ValueError(
+                        f"not a height function: potential step of "
+                        f"{excess + g} along arrow {(u, t)} of weight {g}"
+                    )
                 out.append((u, t))
-            elif delta != 1:
-                raise ValueError(
-                    f"not a height function: step of {delta} along arrow {(u, t)}"
-                )
     return frozenset(out)
 
 
 def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
     """Height function of a cut; rejects arrow sets that are not cuts.
 
-    Works on the quotient: breadth-first assignment of values along
-    out-arrows, each step corrected by the lift of the arrow's L1 wrap,
-    followed by the :func:`drops` check of every arrow: the heights
-    must drop exactly along the given arrows.  Any failure (wrong
-    arrow count, type failing divisibility, or two paths disagreeing)
-    means the input is not a cut.
+    Works on the quotient: breadth-first assignment of the potential g
+    along out-arrows, then the step check of every arrow: g must step
+    by ``type_t - m`` exactly along the given arrows.  Any failure
+    (unknown arrow, wrong arrow count, type failing divisibility, or two
+    paths disagreeing) means the input is not a cut.
     """
-    arrows = cut.arrows if isinstance(cut, Cut) else frozenset(cut)
+    arrows = cut.arrows if isinstance(cut, Cut) else check_arrows(quiver, cut)
     embedding = quiver.embedding
     n, m = quiver.n, quiver.m
     counts = [0] * (n + 1)
-    for arrow in arrows:
-        v, t = arrow
-        if not (0 <= v < m and 1 <= t <= n + 1):
-            raise NotACutError(f"unknown arrow {arrow!r}")
+    for _, t in arrows:
         counts[t - 1] += 1
     if sum(counts) != m:
         raise NotACutError(
             f"a cut has exactly m = {m} arrows, got {sum(counts)}"
         )
+    cut_type = tuple(counts)
+    # A type failing divisibility is refused before the walk, with the
+    # reason h_gamma gives.
     try:
-        l1_values = _l1_values(embedding, tuple(counts))
+        _l1_values(embedding, cut_type)
     except ValueError as exc:
         raise NotACutError(str(exc)) from exc
-    lifts = quiver.arrow_lifts(l1_values)
 
     # Out-arrows alone reach every vertex: each step generates a finite
     # cyclic subgroup of L0/L1, so the quotient is strongly connected.
-    values: list[int | None] = [None] * m
-    values[0] = 0
+    types, targets = quiver.types, quiver.targets
+    potential: list[int | None] = [None] * m
+    potential[0] = 0
     order = [0]
     for v in order:
-        base = values[v]
-        for t, (w, lift) in enumerate(zip(quiver.targets[v], lifts[v]), start=1):
-            if values[w] is None:
-                values[w] = base + (-n if (v, t) in arrows else 1) - lift
+        base = potential[v]
+        for t, w, g in zip(types, targets[v], cut_type):
+            if potential[w] is None:
+                potential[w] = base + g - m * ((v, t) in arrows)
                 order.append(w)
     assert len(order) == m, "quotient Cayley graph must be connected"
     try:
-        consistent = drops(quiver, values, lifts) == arrows
+        consistent = _cut_steps(quiver, cut_type, potential) == arrows
     except ValueError as exc:
         raise NotACutError(str(exc)) from exc
     if not consistent:
@@ -186,18 +223,48 @@ def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
             "height increments are inconsistent: the heights do not drop "
             "exactly along the given arrows, so the arrow set is not a cut"
         )
-    return HeightFunction(
-        embedding=embedding, values=tuple(values), l1_values=l1_values
-    )
+    return _heights(embedding, cut_type, potential)
+
+
+def _type_of_l1_values(embedding: LatticeEmbedding, l1_values) -> Vec:
+    """The type whose height homomorphism has these values on the HNF basis.
+
+    Column j of the upper triangular HNF ends at entry j, and
+    ``l1_j = sum(col_j) - (n+1) * <col_j, type'> / m``, so forward
+    substitution gives the first n entries; the last makes the sum m.
+    Raises ValueError when the solution is not integral.
+    """
+    m, rise = embedding.m, embedding.n + 1
+    head: list[int] = []
+    for j, (col, value) in enumerate(zip(embedding.basis_columns(), l1_values)):
+        known = sum(c * g for c, g in zip(col, head))
+        entry, rest = divmod(m * (sum(col) - value) - rise * known, rise * col[j])
+        if rest:
+            raise ValueError(f"L1 values {tuple(l1_values)} fit no integer type")
+        head.append(entry)
+    return (*head, m - sum(head))
 
 
 def cut_from_height(quiver: McKayQuiver, height: HeightFunction) -> Cut:
-    """The cut whose arrows are exactly the drops of the height function."""
-    if height.embedding.hnf != quiver.embedding.hnf:
+    """The cut whose arrows are exactly the drops of the height function.
+
+    The type comes from the L1 values, the potential from
+    ``g = (m * h - <x_v, w>) / (n+1)``, and the cut from the step check.
+    """
+    embedding = quiver.embedding
+    if height.embedding.hnf != embedding.hnf:
         raise ValueError("height function belongs to a different embedding")
     if len(height.values) != quiver.m:
         raise ValueError("height values must cover all canonical representatives")
+    if len(height.l1_values) != quiver.n:
+        raise ValueError(f"a height function has {quiver.n} L1 values")
     if height.values[0] != 0:
         raise ValueError("a height function must vanish at the origin")
-    lifts = quiver.arrow_lifts(height.l1_values)
-    return Cut(quiver=quiver, arrows=drops(quiver, height.values, lifts))
+    cut_type = _type_of_l1_values(embedding, height.l1_values)
+    m, rise = quiver.m, quiver.n + 1
+    parts = _linear_parts(embedding, cut_type)
+    scaled = [m * h - a for h, a in zip(height.values, parts)]
+    potential = [x // rise for x in scaled]
+    if [g * rise for g in potential] != scaled:
+        raise ValueError("not a height function: its potential is not integral")
+    return Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, potential))

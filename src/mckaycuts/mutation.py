@@ -10,23 +10,26 @@ height picture of Propp, "Lattice structure for orientations of
 graphs", arXiv:math/0209005).
 
 The lattice walk and both extremes work on those constraints alone,
-read off the seed cut's arrows by ``_Bounds``; height functions, L1
-values and arrow lifts stay in :mod:`mckaycuts.heights`.  One walk
-enumerates every type.  It runs on v-vectors, starting from the seed's,
-zero.  Arrows of a type with count 0 are never cut, so v is constant
-along them and the walk moves whole classes (connected components of
-those arrows) by one: up when every bound leaving the class has slack
-1, down when every one has slack 0.  For a positive type every class is
-a single vertex and the moves are exactly the mutations at nonzero
-sources and sinks, which are the covers of the lattice.  A cut is read
-off its vector as the arrows whose difference is at its lower bound.
+read off the seed cut's arrows by ``_Bounds``; height functions and L1
+values stay in :mod:`mckaycuts.heights`.  One walk enumerates every
+type.  It runs on v-vectors, starting from the seed's, zero.  Arrows of
+a type with count 0 are never cut, so v is constant along them and the
+walk moves whole classes (connected components of those arrows) by
+one: up when every bound leaving the class has slack 1, down when every
+one has slack 0.  These moves are the covers of the lattice, its Hasse
+edges, for every type; for a positive type every class is a single
+vertex and the moves are exactly the mutations at nonzero sources and
+sinks.  A cut is read off its vector as the arrows whose difference is
+at its lower bound.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
 helper.  ``max_element`` and ``min_element`` run it over the seed cut's
 difference constraints; ``max_via_p``, the paper's direct construction
 of the maximum, runs it over the quiver with an arrow of type t
-weighing the type's t-th entry.  The two maxima are independent and
+weighing the type's t-th entry and hands the distances, which are the
+vertex potential of the maximal height function, to
+:mod:`mckaycuts.heights`.  The two maxima are independent and
 cross-check each other.  ``mutable_vertices``,
 ``mutate_source``/``mutate_sink``, ``relative_height_vector`` and
 ``meet``/``join`` remain as the cut-level API, on heights.
@@ -42,7 +45,7 @@ from heapq import heappop, heappush
 
 from .construct import _arrow_json, construct_cut, cut_to_json
 from .errors import SearchBoundExceededError
-from .heights import HeightFunction, _l1_values, cut_from_height, height_from_cut
+from .heights import HeightFunction, _heights, cut_from_height, height_from_cut
 from .intlat import Vec
 from .quiver import (
     Cut,
@@ -127,11 +130,12 @@ class MutationLattice:
     """All cuts of one type, ordered by relative height vectors.
 
     ``cuts`` are sorted by their vectors lexicographically, so output is
-    deterministic; ``hasse_edges`` are (lower index, upper index, vertex)
-    triples and are only populated for positive types, where covers are
-    mutations.  ``to_json`` builds the JSON tree; ``json_chunks`` writes
-    the same tree's ``indent=2`` text piece by piece without building
-    it, which is how the ``lattice`` command prints it.
+    deterministic; ``hasse_edges`` are the covers as (lower index, upper
+    index, vertex) triples, the vertex being the first of the class that
+    moves (for a positive type, the vertex mutated).  ``to_json`` builds
+    the JSON tree; ``json_chunks`` writes the same tree's ``indent=2``
+    text piece by piece without building it, which is how the
+    ``lattice`` command prints it.
     """
 
     cut_type: Vec
@@ -376,10 +380,9 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     again, reaches every cut, and each cut is read off its vector; no
     height function is computed.
 
-    For a positive type each class is one vertex, its moves are the
-    mutations at nonzero sources and sinks, and each cover is a Hasse
-    edge.  Nonpositive types report no Hasse edges, because their
-    covers move whole classes rather than single vertices.
+    Each cover is a Hasse edge, labelled by the first vertex of the
+    class that moved.  For a positive type each class is one vertex and
+    its moves are the mutations at nonzero sources and sinks.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
@@ -387,14 +390,13 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     v_vectors = tuple(sorted(vectors))
     cuts = tuple(map(bounds.cut, v_vectors))
     assert all(type_of(c) == cut_type for c in cuts)
-    covers = rises if all(g > 0 for g in cut_type) else ()
     order = {v: i for i, v in enumerate(v_vectors)}
     return MutationLattice(
         cut_type=cut_type,
         cuts=cuts,
         v_vectors=v_vectors,
         hasse_edges=tuple(
-            sorted((order[lo], order[hi], vx) for lo, hi, vx in covers)
+            sorted((order[lo], order[hi], vx) for lo, hi, vx in rises)
         ),
         max_index=_dominant_index(v_vectors, max),
         min_index=_dominant_index(v_vectors, min),
@@ -480,25 +482,15 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
       n arrows of an elementary cycle lead back.  So every step of h*,
       1 - (n+1) times an integer, lies in [-n, 1]: it is +1 or -n.
 
-    D comes from one Dijkstra pass over the quotient quiver.  The result
-    is still certified to be a height function of the requested type,
-    and a failure raises SearchBoundExceededError.
+    D comes from one Dijkstra pass over the quotient quiver.  It is the
+    vertex potential from which :mod:`mckaycuts.heights` builds every
+    height function, h* = (<x, w> + (n+1) D(x)) / m with w_i = m -
+    (n+1) g_i.  The result is still certified to be a height function of
+    the requested type, and a failure raises SearchBoundExceededError.
     """
-    embedding = quiver.embedding
-    cut_type = require_admissible(embedding, cut_type)
-    n, m = embedding.n, embedding.m
+    cut_type = require_admissible(quiver.embedding, cut_type)
     dist = _distances([tuple(zip(row, cut_type)) for row in quiver.targets])
-    values = []
-    for rep, d in zip(quiver.vertices, dist):
-        # rep has n entries, so zip pairs it with g'.
-        shift = sum(x * g for x, g in zip(rep, cut_type)) - d
-        assert shift % m == 0, (rep, cut_type)
-        values.append(sum(rep) - (n + 1) * (shift // m))
-    height = HeightFunction(
-        embedding=embedding,
-        values=tuple(values),
-        l1_values=_l1_values(embedding, cut_type),
-    )
+    height = _heights(quiver.embedding, cut_type, dist)
     try:
         cut = cut_from_height(quiver, height)
     except ValueError as exc:

@@ -4,6 +4,10 @@ The quiver of an embedding has one vertex per coset of L1 in Z^n and,
 for each vertex, one outgoing arrow per step direction alpha_1, ...,
 alpha_n, alpha_{n+1} = -(alpha_1 + ... + alpha_n).  An arrow is
 identified by the pair ``(source index, type)`` with types 1..n+1.
+A quiver is a plain graph: its vertices and target and incoming-arrow
+tables, nothing that depends on a cut type, which keeps it the same
+size however many types are asked of it (height functions are built in
+:mod:`mckaycuts.heights`).
 
 A cut is an arrow set meeting every elementary cycle exactly once.
 There are m * n! elementary cycles, so they are walked on demand
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import permutations
 
 from .errors import NotACutError
@@ -44,9 +47,6 @@ class McKayQuiver:
     index: dict[Vec, int]
     targets: tuple[tuple[int, ...], ...]
     incoming: tuple[tuple[Arrow, ...], ...]
-    _lifts: dict[Vec, tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @property
     def n(self) -> int:
@@ -73,46 +73,6 @@ class McKayQuiver:
 
     def in_arrows(self, v: int) -> tuple[Arrow, ...]:
         return self.incoming[v]
-
-    @cached_property
-    def arrow_wraps(self) -> tuple[tuple[Vec, ...], ...]:
-        """HNF coefficients of each arrow's L1 wrap, indexed ``[v][t - 1]``.
-
-        The arrow ``(v, t)`` to ``w`` lifts to ``x_v -> x_v + alpha_t``,
-        which lies in the coset of ``x_w`` but may leave the fundamental
-        domain; the wrap ``x_v + alpha_t - x_w`` is the L1 vector it
-        crosses.  It depends only on the quiver; see ``arrow_lifts``.
-        """
-        steps = step_vectors(self.n)
-        wraps = []
-        for v, rep in enumerate(self.vertices):
-            row = []
-            for step, w in zip(steps, self.targets[v]):
-                wrap = tuple(
-                    a + s - r for a, s, r in zip(rep, step, self.vertices[w])
-                )
-                coeffs = self.embedding.l1_coefficients(wrap)
-                assert coeffs is not None
-                row.append(coeffs)
-            wraps.append(tuple(row))
-        return tuple(wraps)
-
-    def arrow_lifts(self, l1_values) -> tuple[tuple[int, ...], ...]:
-        """Height each arrow's L1 wrap adds, indexed ``[v][t - 1]``.
-
-        That is the wrap's coefficients dotted with the L1 values of a
-        height function.  Memoised per quiver, because every cut of one
-        type shares its L1 values.
-        """
-        l1_values = tuple(l1_values)
-        lifts = self._lifts.get(l1_values)
-        if lifts is None:
-            lifts = tuple(
-                tuple(sum(c * h for c, h in zip(wrap, l1_values)) for wrap in row)
-                for row in self.arrow_wraps
-            )
-            self._lifts[l1_values] = lifts
-        return lifts
 
     def elementary_cycles(self):
         """Yield the elementary cycles, each rotated to start with type 1.

@@ -2,9 +2,10 @@
 
 Nothing here calls the package's cut or height machinery: lattice
 membership is decided by exact rational solving, coset tables are built
-by pairwise difference checks, and cut enumeration is an exhaustive
+by pairwise difference checks, cut enumeration is an exhaustive
 exact-cover search over the one-arrow-per-cycle constraints, walking
-the quiver's target table directly.
+the quiver's target table directly, and heights come from a walk over
+the lattice points of a box.
 """
 
 from __future__ import annotations
@@ -259,6 +260,54 @@ def all_cuts_exhaustive(quiver, cut_type=None):
             ) == tuple(cut_type)
         ]
     return results
+
+
+def box_vertices(columns, vertices, box):
+    """Map every point of ``product(*box)`` to the index of its vertex.
+
+    The vertex of x is the representative r with x - r in the lattice
+    spanned by ``columns``, decided by :func:`in_lattice`.
+    """
+    return {
+        x: next(
+            v
+            for v, rep in enumerate(vertices)
+            if in_lattice(columns, tuple(a - b for a, b in zip(x, rep)))
+        )
+        for x in product(*box)
+    }
+
+
+def walk_heights(points, n, cut):
+    """Heights on the points of a box, by a walk from the origin.
+
+    ``points`` maps each point to its vertex (see :func:`box_vertices`)
+    and must hold the origin.  The walk crosses the arrows x -> x +
+    alpha_t with both ends in the box, either way: the height rises by
+    +1 along an uncut arrow and by -n along a cut one.  Returns None
+    when two walks to one point disagree.
+    """
+    steps = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    steps.append((-1,) * n)
+    origin = (0,) * n
+    heights = {origin: 0}
+    pending = [origin]
+    while pending:
+        x = pending.pop()
+        for t, step in enumerate(steps, start=1):
+            ahead = tuple(a + b for a, b in zip(x, step))
+            behind = tuple(a - b for a, b in zip(x, step))
+            for y, sign, tail in ((ahead, 1, x), (behind, -1, behind)):
+                if y not in points:
+                    continue
+                rise = -n if (points[tail], t) in cut else 1
+                value = heights[x] + sign * rise
+                if y not in heights:
+                    heights[y] = value
+                    pending.append(y)
+                elif heights[y] != value:
+                    return None
+    return heights
 
 
 def random_unimodular(n, rng, steps=8):

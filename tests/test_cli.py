@@ -373,12 +373,38 @@ class TestLatticeAndExtremes:
         oracle = set(all_cuts_exhaustive(quiver, (6, 6, 0)))
         found = {cut_from_json(quiver, cut) for cut in payload["cuts"]}
         assert found == oracle and len(payload["cuts"]) == 20
-        assert payload["hasse_edges"] == []
+        # The Hasse edges are the covers of the componentwise order, each
+        # labelled by the least vertex of the class it moves.
+        vecs = payload["v_vectors"]
+
+        def below(a, b):
+            return all(p <= q for p, q in zip(a, b))
+
+        covers = {
+            (i, j)
+            for i, a in enumerate(vecs)
+            for j, b in enumerate(vecs)
+            if i != j
+            and below(a, b)
+            and not any(
+                k not in (i, j) and below(a, c) and below(c, b)
+                for k, c in enumerate(vecs)
+            )
+        }
+        edges = payload["hasse_edges"]
+        assert covers and len(edges) == len(covers)
+        assert {(e["lower"], e["upper"]) for e in edges} == covers
+        for e in edges:
+            low, high = vecs[e["lower"]], vecs[e["upper"]]
+            moved = [x for x, (p, q) in enumerate(zip(low, high)) if p != q]
+            assert all(high[x] == low[x] + 1 for x in moved)
+            assert quiver.index[tuple(e["vertex"])] == moved[0] != 0
         code, out, _ = run_cli(
             capsys, ["--input", path, "export-dot", "hasse", "--type", "6,6,0"]
         )
         assert code == 0
-        assert out.count("->") == 0 and out.count("label=") == 20
+        assert out.count("->") == len(covers)
+        assert out.count("label=") == 20 + len(covers)
 
     def test_extremes_agree(self, capsys, write_input):
         code, out, _ = run_cli(

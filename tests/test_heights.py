@@ -1,7 +1,12 @@
 """Cut <-> height function bijection and height arithmetic."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from mckaycuts.construct import construct_cut
+from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import (
     HeightFunction,
     cut_from_height,
@@ -13,7 +18,7 @@ from mckaycuts.intlat import LatticeEmbedding
 from mckaycuts.quiver import build_mckay, is_cut, make_cut, type_of
 from mckaycuts.typesimplex import enumerate_types, monomial_degree
 from conftest import instance
-from oracles import all_cuts_exhaustive
+from oracles import all_cuts_exhaustive, box_vertices, walk_heights
 
 
 class TestHeightFromCut:
@@ -133,6 +138,56 @@ class TestCutFromHeight:
         )
         with pytest.raises(ValueError, match="origin"):
             cut_from_height(quiver, not_zero)
+        no_l1 = HeightFunction(embedding=emb, values=(0, -1), l1_values=())
+        with pytest.raises(ValueError, match="L1 values"):
+            cut_from_height(quiver, no_l1)
+
+
+class TestWalkOracle:
+    """Height values against a walk over lattice points, not the quotient."""
+
+    @staticmethod
+    def points(emb, quiver):
+        box = [range(-d, 2 * d) for d in emb.diagonal]
+        return box_vertices(list(zip(*emb.bprime)), quiver.vertices, box)
+
+    def test_heights_equal_the_walk_on_every_cut(self, named_instance):
+        _, emb, quiver = named_instance
+        points = self.points(emb, quiver)
+        cuts = all_cuts_exhaustive(quiver)
+        assert cuts
+        for arrows in cuts:
+            walk = walk_heights(points, emb.n, arrows)
+            assert walk is not None and len(walk) == len(points)
+            height = height_from_cut(quiver, arrows)
+            assert height.values == tuple(walk[rep] for rep in quiver.vertices)
+            for x, value in walk.items():
+                assert height.value_at(x) == value, (arrows, x)
+
+    def test_walk_refuses_a_non_cut(self):
+        _, emb, quiver = instance("half_11")
+        points = self.points(emb, quiver)
+        assert walk_heights(points, 1, {(0, 1), (1, 2)}) is None
+
+
+def test_quiver_keeps_no_per_type_state():
+    # One round trip per type of 1/240(1,5,234) leaves the live quiver
+    # as small as it was: no table per type is kept.
+    spec = GroupSpec.make(2, [(240, (1, 5, 234))])
+    quiver = build_mckay(embedding_from_spec(spec))
+    types = enumerate_types(quiver.embedding).all_types
+    assert len(types) == 127
+    tracemalloc.start()
+    try:
+        for cut_type in types:
+            cut = construct_cut(quiver, cut_type)
+            assert cut_from_height(quiver, height_from_cut(quiver, cut)) == cut
+        del cut
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
 
 
 class TestHGamma:
@@ -205,6 +260,7 @@ NON_INTEGER_CALLS = {
     "monomial_degree": lambda emb, q: monomial_degree(emb, (3.7, 0, 0), (1, 1, 1)),
     "make_cut": lambda emb, q: make_cut(q, {(2.5, 1), (2, 2), (2, 3)}),
     "is_cut": lambda emb, q: is_cut(q, {(2, 1), (2, 2.0), (2, 3)}),
+    "height_from_cut": lambda emb, q: height_from_cut(q, {(2.0, 1), (2, 2), (2, 3)}),
 }
 
 

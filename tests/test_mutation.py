@@ -39,6 +39,51 @@ def cyclic_quiver(m, weights):
     return build_mckay(embedding_from_spec(spec))
 
 
+def class_moves(quiver, cut_type, vectors):
+    """(lower, upper, vertex) for the vector pairs one class move apart.
+
+    A class is a component of the arrows whose type has count 0, taken
+    undirected.  The move adds 1 on one class other than the origin's and
+    is labelled by its least vertex.  Moves between members of a cut
+    lattice are its covers: v is constant on classes, so nothing lies
+    strictly between a and a + 1 on one class.
+    """
+    zero = [t for t in quiver.types if cut_type[t - 1] == 0]
+    neighbours = [[] for _ in range(quiver.m)]
+    for u in range(quiver.m):
+        for t in zero:
+            w = quiver.targets[u][t - 1]
+            neighbours[u].append(w)
+            neighbours[w].append(u)
+    seen, classes = set(), []
+    for start in range(quiver.m):
+        if start not in seen:
+            seen.add(start)
+            group = [start]
+            for u in group:
+                for w in neighbours[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        group.append(w)
+            if 0 not in group:
+                classes.append(set(group))
+    index = {vec: i for i, vec in enumerate(vectors)}
+    moves = set()
+    for i, vec in enumerate(vectors):
+        for members in classes:
+            up = tuple(x + (k in members) for k, x in enumerate(vec))
+            if up in index:
+                moves.add((i, index[up], min(members)))
+    return moves
+
+
+def assert_hasse_edges_are_class_moves(quiver, lattice):
+    moves = class_moves(quiver, lattice.cut_type, lattice.v_vectors)
+    assert set(lattice.hasse_edges) == moves
+    assert len(lattice.hasse_edges) == len(moves)
+    assert bool(moves) == (len(lattice.cuts) > 1)
+
+
 def lattice_instances():
     """(quiver, positive type) pairs across the named groups."""
     for name in ("half_11", "third_111", "quarter_112", "sixth_123",
@@ -263,7 +308,8 @@ class TestEnumerateLattice:
         _, emb, quiver = instance("quarter_112")
         lattice = enumerate_cut_lattice(quiver, (2, 2, 0))
         assert len(lattice.cuts) == 2
-        assert lattice.hasse_edges == ()
+        assert len(lattice.hasse_edges) == 1
+        assert_hasse_edges_are_class_moves(quiver, lattice)
         oracle = all_cuts_exhaustive(quiver, (2, 2, 0))
         assert {c.arrows for c in lattice.cuts} == set(oracle)
 
@@ -279,7 +325,7 @@ class TestEnumerateLattice:
         oracle = all_cuts_exhaustive(quiver, cut_type)
         assert {c.arrows for c in lattice.cuts} == set(oracle)
         assert len(lattice.cuts) == n_cuts
-        assert lattice.hasse_edges == ()
+        assert_hasse_edges_are_class_moves(quiver, lattice)
 
     def test_v_vectors_are_relative_heights_on_every_type_of_small_groups(self):
         # The walk never computes heights; tie its vectors to the bijection.
@@ -513,7 +559,7 @@ class TestNonpositiveLatticeProperties:
         oracle = all_cuts_exhaustive(quiver, cut_type)
         assert {c.arrows for c in lattice.cuts} == set(oracle)
         assert len(lattice.cuts) == len(oracle)
-        assert lattice.hasse_edges == ()
+        assert_hasse_edges_are_class_moves(quiver, lattice)
         vecs = lattice.v_vectors
         assert list(vecs) == sorted(set(vecs))
         assert vecs[lattice.max_index] == tuple(map(max, zip(*vecs)))
@@ -533,7 +579,7 @@ class TestHasseTransitiveReduction:
             quiver = cyclic_quiver(12, (1, 2, 9))
         else:
             quiver = instance(name)[2]
-        for cut_type in enumerate_types(quiver.embedding).positive_types:
+        for cut_type in enumerate_types(quiver.embedding).all_types:
             lattice = enumerate_cut_lattice(quiver, cut_type)
             vecs = lattice.v_vectors
             order = nx.DiGraph()
@@ -562,7 +608,7 @@ class TestLatticeJsonChunks:
                 assert "".join(lattice.json_chunks()) == dumped(lattice), cut_type
                 nonpositive += not all(cut_type)
                 single += len(lattice.cuts) == 1
-        # Both edge cases occur: empty hasse_edges and one-cut lattices.
+        # Both edge cases occur: nonpositive types and one-cut lattices.
         assert nonpositive > 0 and single > 0
 
     @settings(max_examples=25, deadline=None)
