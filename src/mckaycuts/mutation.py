@@ -20,7 +20,9 @@ one has slack 0.  These moves are the covers of the lattice, its Hasse
 edges, for every type; for a positive type every class is a single
 vertex and the moves are exactly the mutations at nonzero sources and
 sinks.  A cut is read off its vector as the arrows whose difference is
-at its lower bound.
+at its lower bound.  The vectors are the lattice: it keeps no cut, and
+``MutationLattice.cuts`` is a read-only sequence that builds each cut
+from its vector when it is accessed.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -39,9 +41,11 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from heapq import heappop, heappush
+from itertools import compress
 
 from .construct import _arrow_json, construct_cut, cut_to_json
 from .errors import SearchBoundExceededError
@@ -129,8 +133,11 @@ def join(cut_a: Cut, cut_b: Cut) -> Cut:
 class MutationLattice:
     """All cuts of one type, ordered by relative height vectors.
 
-    ``cuts`` are sorted by their vectors lexicographically, so output is
-    deterministic; ``hasse_edges`` are the covers as (lower index, upper
+    ``v_vectors`` are sorted lexicographically, so output is
+    deterministic.  ``cuts`` is a read-only sequence in the same order
+    that holds no ``Cut``: indexing or iterating it builds each cut from
+    its vector (a slice gives a tuple of cuts), so read a cut once where
+    it is used often.  ``hasse_edges`` are the covers as (lower index, upper
     index, vertex) triples, the vertex being the first of the class that
     moves (for a positive type, the vertex mutated).  ``to_json`` builds
     the JSON tree; ``json_chunks`` writes the same tree's ``indent=2``
@@ -139,7 +146,7 @@ class MutationLattice:
     """
 
     cut_type: Vec
-    cuts: tuple[Cut, ...]
+    cuts: Sequence[Cut]
     v_vectors: tuple[Vec, ...]
     hasse_edges: tuple[tuple[int, int, int], ...]
     max_index: int
@@ -167,33 +174,51 @@ class MutationLattice:
         """Yield ``json.dumps(self.to_json(), indent=2) + "\\n"`` in pieces.
 
         The text is written about one cut at a time and neither the dict
-        tree nor the whole string is built.  An arrow's object depends
-        only on (vertex, type), and every cut has the lattice's type, so
+        tree nor the whole string is built, nor any ``Cut``.  Each cut's
+        arrows are read straight off its v-vector: the seed cut's bounds
+        list every arrow in sorted order, and the cut holds those of
+        slack 0.  An arrow's object depends only on (vertex, type), so
         each fragment is encoded once by re-indenting ``json.dumps`` and
         then reused.
         """
-        quiver = self.cuts[0].quiver
-        arrow = cache(lambda a: _indented(_arrow_json(quiver, *a), 4))
+        bounds = self.cuts.bounds
+        quiver = bounds.quiver
+        k = quiver.n + 1
+        # An item of a cut's "arrows" array, with the line break before it;
+        # a cut holds m >= 1 arrows, so no array is empty.
+        arrows = [
+            "\n        " + _indented(_arrow_json(quiver, u, t), 4)
+            for u, t, _, _ in bounds.arrows
+        ]
         vertex = cache(lambda vx: _indented(list(quiver.vertices[vx]), 3))
         cut_head = (
             '{\n      "type": ' + _indented(list(self.cut_type), 3)
-            + ',\n      "arrows": '
+            + ',\n      "arrows": ['
         )
-        cut_texts = (
-            cut_head
-            + "".join(_json_array(map(arrow, c.sorted_arrows()), 3))
-            + "\n    }"
-            for c in self.cuts
-        )
+
+        def cut_text(v):
+            slack = bounds.slack(v)
+            # The arrows of type t + 1 sit at the indices t mod k.
+            counts = tuple(slack[t::k].count(0) for t in range(k))
+            assert counts == self.cut_type, (counts, self.cut_type)
+            held = compress(arrows, map(operator.not_, slack))
+            return cut_head + ",".join(held) + "\n      ]\n    }"
+
         edge_texts = (
             f'{{\n      "lower": {lo},\n      "upper": {hi},\n'
             f'      "vertex": {vertex(vx)}\n    }}'
             for lo, hi, vx in self.hasse_edges
         )
         yield '{\n  "type": ' + _indented(list(self.cut_type), 1) + ',\n  "cuts": '
-        yield from _json_array(cut_texts, 1)
+        yield from _json_array(map(cut_text, self.cuts.vectors), 1)
         yield ',\n  "v_vectors": '
-        yield from _json_array((_indented(list(v), 2) for v in self.v_vectors), 1)
+        yield from _json_array(
+            (
+                "[\n      " + ",\n      ".join(map(str, v)) + "\n    ]"
+                for v in self.v_vectors
+            ),
+            1,
+        )
         yield ',\n  "hasse_edges": '
         yield from _json_array(edge_texts, 1)
         yield (
@@ -250,7 +275,10 @@ class _Bounds:
     <= v[w] - v[u] <= low + 1``, with low = 0 if s cuts the arrow and -1
     if not, and the cut holds the arrow exactly when the difference is
     at its lower bound (see :func:`enumerate_cut_lattice`).  ``arrows``
-    lists these as (u, t, w, low), t being the arrow's type.
+    lists these as (u, t, w, low), t being the arrow's type, sorted by
+    (u, t), so the arrows of type t sit at the indices i = t - 1 mod
+    n + 1;
+    ``pairs`` holds the arrows (u, t) themselves, shared by every cut.
     ``edges[x]`` lists the pairs (y, low) that bound ``v[y] - v[x]`` to
     {low, low + 1}: the arrow gives (w, low) at u and (u, -1 - low) at w.
 
@@ -269,6 +297,7 @@ class _Bounds:
             for u, row in enumerate(quiver.targets)
             for t, w in enumerate(row, start=1)
         ]
+        self.pairs = [(u, t) for u, t, _, _ in self.arrows]
         self.edges = [[] for _ in range(quiver.m)]
         for u, _, w, low in self.arrows:
             self.edges[u].append((w, low))
@@ -297,19 +326,52 @@ class _Bounds:
                 if start:
                     self.classes.append((group, leaving))
 
+    def slack(self, v) -> list[int]:
+        """``v[w] - v[u] - low`` for each of ``arrows``, in that order.
+
+        The cut of v holds exactly the arrows of slack 0.
+        """
+        return [v[w] - v[u] - low for u, _, w, low in self.arrows]
+
     def cut(self, v) -> Cut:
         """The cut holding the arrows whose difference is at its lower bound.
 
         Raises ValueError when some difference leaves its two values,
         that is, when v belongs to no cut of the type.
         """
-        slack = {(u, t): v[w] - v[u] - low for u, t, w, low in self.arrows}
-        if not set(slack.values()) <= {0, 1}:
+        slack = self.slack(v)
+        if not set(slack) <= {0, 1}:
             raise ValueError(f"{tuple(v)} leaves the seed cut's bounds")
         return Cut(
             quiver=self.quiver,
-            arrows=frozenset(a for a, s in slack.items() if not s),
+            arrows=frozenset(compress(self.pairs, map(operator.not_, slack))),
         )
+
+
+class _LatticeCuts(Sequence):
+    """The cuts of a lattice, read off its sorted v-vectors on access.
+
+    Holds only the vectors and the seed cut's bounds; each item access
+    builds one ``Cut`` and checks its type, and a slice is a tuple of
+    cuts.  The sequence is read-only.
+    """
+
+    __slots__ = ("bounds", "vectors", "cut_type")
+
+    def __init__(self, bounds: _Bounds, vectors: tuple[Vec, ...], cut_type: Vec):
+        self.bounds = bounds
+        self.vectors = vectors
+        self.cut_type = cut_type
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        cut = self.bounds.cut(self.vectors[index])
+        assert type_of(cut) == self.cut_type, (type_of(cut), self.cut_type)
+        return cut
 
 
 def _walk_lattice(bounds: _Bounds):
@@ -319,9 +381,9 @@ def _walk_lattice(bounds: _Bounds):
     difference at the upper bound) and fall by one when every such edge
     has slack 0; for a single vertex these are a source and a sink of
     the cut quiver.  Edges inside a class, loops included, keep their
-    slack.  Returns the vectors reached and the rises as ``(lower,
-    upper, vertex)`` triples, the vertex being the first of the class
-    that moved.  Each rise is recorded once, from its lower end.
+    slack.  Returns the vectors reached and the rises as ``(lower, k)``
+    pairs, k indexing ``bounds.classes``; the upper end is not kept.
+    Each rise is recorded once, from its lower end.
     """
     start = (0,) * bounds.quiver.m
     seen = {start}
@@ -329,20 +391,22 @@ def _walk_lattice(bounds: _Bounds):
     rises = []
     while stack:
         v = stack.pop()
-        for members, leaving in bounds.classes:
+        for k, (members, leaving) in enumerate(bounds.classes):
             x, y, low = leaving[0]
             slack = v[y] - v[x] - low
-            if any(v[y] - v[x] - low != slack for x, y, low in leaving):
-                continue
-            moved = list(v)
-            for u in members:
-                moved[u] += 2 * slack - 1
-            moved = tuple(moved)
-            if slack:
-                rises.append((v, moved, members[0]))
-            if moved not in seen:
-                seen.add(moved)
-                stack.append(moved)
+            for x, y, low in leaving:
+                if v[y] - v[x] - low != slack:
+                    break
+            else:
+                moved = list(v)
+                for u in members:
+                    moved[u] += 2 * slack - 1
+                moved = tuple(moved)
+                if slack:
+                    rises.append((v, k))
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
     return seen, rises
 
 
@@ -388,16 +452,24 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     bounds = _Bounds(quiver, cut_type)
     vectors, rises = _walk_lattice(bounds)
     v_vectors = tuple(sorted(vectors))
-    cuts = tuple(map(bounds.cut, v_vectors))
-    assert all(type_of(c) == cut_type for c in cuts)
+    del vectors
     order = {v: i for i, v in enumerate(v_vectors)}
+    edges = []
+    # Popping frees each rise once its edge is numbered, so the rises and
+    # the edges, the two largest lists, are never held in full together.
+    while rises:
+        lower, k = rises.pop()
+        members = bounds.classes[k][0]
+        upper = list(lower)
+        for u in members:
+            upper[u] += 1
+        edges.append((order[lower], order[tuple(upper)], members[0]))
+    edges.sort()
     return MutationLattice(
         cut_type=cut_type,
-        cuts=cuts,
+        cuts=_LatticeCuts(bounds, v_vectors, cut_type),
         v_vectors=v_vectors,
-        hasse_edges=tuple(
-            sorted((order[lo], order[hi], vx) for lo, hi, vx in rises)
-        ),
+        hasse_edges=tuple(edges),
         max_index=_dominant_index(v_vectors, max),
         min_index=_dominant_index(v_vectors, min),
     )

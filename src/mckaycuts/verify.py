@@ -254,7 +254,9 @@ def run_verification(
             if oracle_ok:
                 assert {c.arrows for c in cuts} == {c.arrows for c in oracle[cut_type]}
                 details.append("matches subset oracle")
-            reference = height_from_cut(quiver, cuts[0]).values
+            # Each access to ``cuts`` builds a cut, so read these two once.
+            first, top = cuts[0], cuts[lattice.max_index]
+            reference = height_from_cut(quiver, first).values
             for cut, vec in zip(cuts, vecs):
                 assert type_of(cut) == cut_type
                 values = height_from_cut(quiver, cut).values
@@ -287,7 +289,7 @@ def run_verification(
             for u, t in quiver.arrows():
                 w = quiver.target(u, t)
                 if u != w:
-                    low = 0 if (u, t) in cuts[0].arrows else -1
+                    low = 0 if (u, t) in first.arrows else -1
                     c = low + base[w] - base[u]
                     near[w].append((u, c))
                     near[u].append((w, -c - 1))
@@ -300,8 +302,8 @@ def run_verification(
                         assert (i, x) in up, (a, x)
                     elif slack == {1}:
                         assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
-            assert max_element(quiver, cut_type) == cuts[lattice.max_index]
-            assert max_via_p(quiver, cut_type) == cuts[lattice.max_index]
+            assert max_element(quiver, cut_type) == top
+            assert max_via_p(quiver, cut_type) == top
             assert min_element(quiver, cut_type) == cuts[lattice.min_index]
             # A positive type has no loops, and a nonzero source x of a cut
             # a is exactly a feasible a + e_x, which the closure pass above
@@ -309,7 +311,7 @@ def run_verification(
             # source: the cuts whose only source is the origin are exactly
             # those with no edge up, and only the maximum may be one.
             assert {lo for lo, _ in up} == set(range(len(cuts))) - {lattice.max_index}
-            assert sources(cut_quiver(quiver, cuts[lattice.max_index])) == (0,)
+            assert sources(cut_quiver(quiver, top)) == (0,)
             details.append("covers = mutations, closed, extremes agree")
             return "; ".join(details)
 

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from mckaycuts import cli
+from mckaycuts import cli, mutation
 from mckaycuts.construct import cut_from_json
 from mckaycuts.errors import SearchBoundExceededError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.mutation import MutationLattice, enumerate_cut_lattice
-from mckaycuts.quiver import build_mckay
+from mckaycuts.quiver import Cut, build_mckay
 from conftest import oracle_extremes
 from oracles import all_cuts_exhaustive
 
@@ -26,6 +26,19 @@ KLEIN = {
     ],
 }
 QUARTER_112 = {"n": 2, "generators": [{"order": 4, "weights": [1, 1, 2]}]}
+
+# Runs its arguments as a command and prints its exit code, the sha256 of
+# its stdout and its peak RSS in KiB (``ru_maxrss`` from ``wait4``, Linux).
+PEAK_RSS_PROBE = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(chunk)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, digest.hexdigest(), usage.ru_maxrss)
+"""
 
 
 @pytest.fixture
@@ -448,16 +461,44 @@ class TestLatticeStreaming:
         expected = json.dumps(lattice.to_json(), indent=2) + "\n"
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the lattice dict tree was built")
+            raise AssertionError("the dict tree or a cut was built")
 
         monkeypatch.setattr(MutationLattice, "to_json", refuse)
         monkeypatch.setattr(json, "dump", refuse)
+        # The arrows are read off the v-vectors: no cut is built or sorted.
+        monkeypatch.setattr(mutation._Bounds, "cut", refuse)
+        monkeypatch.setattr(Cut, "sorted_arrows", refuse)
         code, out, _ = run_cli(
             capsys,
             ["--input", write_input(self.GROUP), "lattice", "--type", "7,11,6"],
         )
         assert code == 0
         assert out == expected
+
+    def test_m30_digest_and_peak_memory(self, write_input):
+        # 14,955 cuts and about 20 MB of JSON.  The digest pins the bytes;
+        # the bound fails if the lattice keeps a Cut per member again,
+        # which took the CLI's peak RSS to about 109 MiB.  A child's peak
+        # RSS starts at that of the process it was forked from, so the CLI
+        # is started from a small intermediate process, not from pytest.
+        group = {"n": 2, "generators": [{"order": 30, "weights": [1, 5, 24]}]}
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE,
+             sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input(group), "lattice", "--type", "8,10,12"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, digest, peak_kib = proc.stdout.split()
+        assert code == "0"
+        assert digest == (
+            "253c76e3dee45c7cfaaa1f5a14eb41c564feeae9186a1559f499d2edb59bc77d"
+        )
+        assert int(peak_kib) < 64 * 1024
 
     @pytest.mark.parametrize("group, command, read", [
         # About 6 MB of output, more than a pipe buffer holds.

@@ -599,6 +599,24 @@ def dumped(lattice) -> str:
     return json.dumps(lattice.to_json(), indent=2) + "\n"
 
 
+def assert_cuts_act_as_tuple(quiver, lattice):
+    """``lattice.cuts`` behaves like the tuple of the cuts read off its vectors."""
+    bounds = mutation._Bounds(quiver, lattice.cut_type)
+    expected = tuple(map(bounds.cut, lattice.v_vectors))
+    assert all(type_of(c) == lattice.cut_type for c in expected)
+    cuts = lattice.cuts
+    size = len(expected)
+    assert len(cuts) == size and tuple(cuts) == expected
+    assert (cuts[-1], cuts[-size]) == (expected[-1], expected[0])
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            cuts[i]
+    assert cuts[:2] + cuts[-2:] == expected[:2] + expected[-2:]
+    assert cuts[::-3] == expected[::-3] and type(cuts[1:1]) is tuple
+    with pytest.raises(TypeError):
+        cuts[0] = expected[0]
+
+
 class TestLatticeJsonChunks:
     def test_matches_to_json_on_every_type_of_small_groups(self):
         nonpositive = single = 0
@@ -606,6 +624,7 @@ class TestLatticeJsonChunks:
             for cut_type in enumerate_types(quiver.embedding).all_types:
                 lattice = enumerate_cut_lattice(quiver, cut_type)
                 assert "".join(lattice.json_chunks()) == dumped(lattice), cut_type
+                assert_cuts_act_as_tuple(quiver, lattice)
                 nonpositive += not all(cut_type)
                 single += len(lattice.cuts) == 1
         # Both edge cases occur: nonpositive types and one-cut lattices.
