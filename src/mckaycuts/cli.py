@@ -16,10 +16,13 @@ import os
 import re
 import sys
 from collections.abc import Iterator
+from functools import cache
 from math import factorial
 
 from .construct import (
     _arrow_json,
+    _indented,
+    _json_array,
     construct_cut,
     cut_from_json,
     cut_to_json,
@@ -35,7 +38,7 @@ from .errors import (
 from .groups import parse_input
 from .heights import height_from_cut
 from .mutation import enumerate_cut_lattice, max_element, max_via_p, min_element
-from .quiver import build_mckay, is_acyclic, quiver_to_dot
+from .quiver import build_mckay, is_acyclic, quiver_to_dot, type_of
 from .typesimplex import enumerate_types, require_admissible
 from .verify import run_verification
 
@@ -104,23 +107,23 @@ def _emit(payload) -> None:
     elif isinstance(payload, Iterator):
         sys.stdout.writelines(payload)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_indented(payload, 0) + "\n")
 
 
 def _cmd_analyze(args) -> int:
     embedding, _ = _load(args)
-    quiver = build_mckay(embedding)
     report = enumerate_types(embedding)
+    n, m = embedding.n, embedding.m
+    # The quiver's counts follow from n and m, so it is not built.
     _emit(
         {
-            "n": embedding.n,
-            "m": embedding.m,
+            "n": n,
+            "m": m,
             "bprime_hnf": [list(row) for row in embedding.hnf],
             "quiver": {
-                "vertices": quiver.m,
-                "arrows": (quiver.n + 1) * quiver.m,
-                "elementary_cycles": quiver.m * factorial(quiver.n),
+                "vertices": m,
+                "arrows": (n + 1) * m,
+                "elementary_cycles": m * factorial(n),
             },
             "types": report.to_json()
             | {"vertices": [list(t) for t in report.vertices]},
@@ -152,23 +155,41 @@ def _cmd_construct(args) -> int:
     cut = construct_cut(quiver, cut_type)
     if args.format == "dot":
         _emit(quiver_to_dot(quiver, cut))
-        return EXIT_OK
-    sub, relations = degree_zero_presentation(quiver, cut)
-    _emit(
-        {
-            "cut": cut_to_json(cut),
-            "height": height_from_cut(quiver, cut).to_json(),
-            "degree_zero": {
-                "arrows": [_arrow_json(quiver, v, t) for v, t in sub.arrows],
-                "relations": [
-                    [_arrow_json(quiver, v, t) for v, t in square]
-                    for square in relations
-                ],
-            },
-            "acyclic": is_acyclic(sub),
-        }
-    )
+    else:
+        _emit(_construct_chunks(quiver, cut))
     return EXIT_OK
+
+
+def _construct_chunks(quiver, cut):
+    """Yield the ``construct`` JSON in pieces, about one arrow at a time.
+
+    The text is that of ``json.dumps(tree, indent=2) + "\\n"`` for the
+    tree of the cut (``cut_to_json``), its height function, the
+    degree-zero presentation and whether it is acyclic, but no tree is
+    built.  Every arrow is written once at depth 3, as a cut arrow or as
+    an arrow of the cut quiver; the arrows of the relation squares sit at
+    depth 4 and recur, so each of their texts is encoded once and reused.
+    """
+    sub, relations = degree_zero_presentation(quiver, cut)
+
+    def arrow_text(depth):
+        return lambda arrow: _indented(_arrow_json(quiver, *arrow), depth)
+
+    square_arrow = cache(arrow_text(4))
+    yield (
+        '{\n  "cut": {\n    "type": ' + _indented(type_of(cut), 2)
+        + ',\n    "arrows": '
+    )
+    yield from _json_array(map(arrow_text(3), cut.sorted_arrows()), 2)
+    yield '\n  },\n  "height": ' + _indented(height_from_cut(quiver, cut).to_json(), 1)
+    yield ',\n  "degree_zero": {\n    "arrows": '
+    yield from _json_array(map(arrow_text(3), sub.arrows), 2)
+    yield ',\n    "relations": '
+    yield from _json_array(
+        ("".join(_json_array(map(square_arrow, square), 3)) for square in relations),
+        2,
+    )
+    yield '\n  },\n  "acyclic": ' + _indented(is_acyclic(sub), 1) + "\n}\n"
 
 
 def _cmd_lattice(args) -> int:

@@ -8,6 +8,8 @@ type by a cut that is periodic for the larger intermediate lattice.
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .groups import _json_int
@@ -91,6 +93,58 @@ def degree_zero_presentation(
 def _arrow_json(quiver: McKayQuiver, v: int, t: int) -> dict:
     """The JSON object of the arrow of type t out of vertex v."""
     return {"source": list(quiver.vertices[v]), "arrow_type": t}
+
+
+def _indented(obj, depth: int) -> str:
+    """``json.dumps(obj, indent=2)`` as it reads nested ``depth`` levels deep.
+
+    Dicts with string keys, lists, tuples, ints, strings, bools and None
+    are encoded here, a list of plain ints in one join; anything else (a
+    float, a non-string key, a subclass) is left to ``json.dumps`` and
+    re-indented.  This is the fragment encoder of the streamed outputs and
+    of every JSON payload the CLI prints.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    pad = "\n" + "  " * (depth + 1)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(str, obj)
+        else:
+            items = (_indented(x, depth + 1) for x in obj)
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = (
+            encode_basestring_ascii(key) + ": " + _indented(value, depth + 1)
+            for key, value in obj.items()
+        )
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _json_array(texts, depth: int):
+    """Yield a JSON array ``depth`` levels deep, one chunk per item.
+
+    The items come encoded for depth ``depth + 1``; the layout is that
+    of ``json.dumps(..., indent=2)``, including ``[]`` for no items.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    empty = True
+    for text in texts:
+        yield ("[" if empty else ",") + pad + text
+        empty = False
+    yield "[]" if empty else pad[:-2] + "]"
 
 
 def cut_to_json(cut: Cut) -> dict:

@@ -39,7 +39,6 @@ cross-check each other.  ``mutable_vertices``,
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,7 +46,13 @@ from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
 
-from .construct import _arrow_json, construct_cut, cut_to_json
+from .construct import (
+    _arrow_json,
+    _indented,
+    _json_array,
+    construct_cut,
+    cut_to_json,
+)
 from .errors import SearchBoundExceededError
 from .heights import HeightFunction, _heights, cut_from_height, height_from_cut
 from .intlat import Vec
@@ -142,7 +147,9 @@ class MutationLattice:
     moves (for a positive type, the vertex mutated).  ``to_json`` builds
     the JSON tree; ``json_chunks`` writes the same tree's ``indent=2``
     text piece by piece without building it, which is how the
-    ``lattice`` command prints it.
+    ``lattice`` command prints it.  The fragment encoder ``_indented``
+    and the array layout ``_json_array`` it uses live in ``construct``,
+    next to ``_arrow_json``, and also serve the ``construct`` command.
     """
 
     cut_type: Vec
@@ -178,8 +185,7 @@ class MutationLattice:
         arrows are read straight off its v-vector: the seed cut's bounds
         list every arrow in sorted order, and the cut holds those of
         slack 0.  An arrow's object depends only on (vertex, type), so
-        each fragment is encoded once by re-indenting ``json.dumps`` and
-        then reused.
+        each fragment is encoded once and then reused.
         """
         bounds = self.cuts.bounds
         quiver = bounds.quiver
@@ -190,9 +196,9 @@ class MutationLattice:
             "\n        " + _indented(_arrow_json(quiver, u, t), 4)
             for u, t, _, _ in bounds.arrows
         ]
-        vertex = cache(lambda vx: _indented(list(quiver.vertices[vx]), 3))
+        vertex = cache(lambda vx: _indented(quiver.vertices[vx], 3))
         cut_head = (
-            '{\n      "type": ' + _indented(list(self.cut_type), 3)
+            '{\n      "type": ' + _indented(self.cut_type, 3)
             + ',\n      "arrows": ['
         )
 
@@ -209,16 +215,10 @@ class MutationLattice:
             f'      "vertex": {vertex(vx)}\n    }}'
             for lo, hi, vx in self.hasse_edges
         )
-        yield '{\n  "type": ' + _indented(list(self.cut_type), 1) + ',\n  "cuts": '
+        yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
         yield from _json_array(map(cut_text, self.cuts.vectors), 1)
         yield ',\n  "v_vectors": '
-        yield from _json_array(
-            (
-                "[\n      " + ",\n      ".join(map(str, v)) + "\n    ]"
-                for v in self.v_vectors
-            ),
-            1,
-        )
+        yield from _json_array((_indented(v, 2) for v in self.v_vectors), 1)
         yield ',\n  "hasse_edges": '
         yield from _json_array(edge_texts, 1)
         yield (
@@ -237,25 +237,6 @@ class MutationLattice:
             lines.append(f'  c{lo} -> c{hi} [label="{rep}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def _indented(obj, depth: int) -> str:
-    """``json.dumps(obj, indent=2)`` as it reads nested ``depth`` levels deep."""
-    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
-
-
-def _json_array(texts, depth: int):
-    """Yield a JSON array ``depth`` levels deep, one chunk per item.
-
-    The items come encoded for depth ``depth + 1``; the layout is that
-    of ``json.dumps(..., indent=2)``, including ``[]`` for no items.
-    """
-    pad = "\n" + "  " * (depth + 1)
-    empty = True
-    for text in texts:
-        yield ("[" if empty else ",") + pad + text
-        empty = False
-    yield "[]" if empty else pad[:-2] + "]"
 
 
 def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:

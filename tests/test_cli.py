@@ -1,20 +1,35 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mckaycuts import cli, mutation
-from mckaycuts.construct import cut_from_json
+from mckaycuts.construct import (
+    _arrow_json,
+    construct_cut,
+    cut_from_json,
+    cut_to_json,
+    degree_zero_presentation,
+)
 from mckaycuts.errors import SearchBoundExceededError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
+from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import MutationLattice, enumerate_cut_lattice
-from mckaycuts.quiver import Cut, build_mckay
-from conftest import oracle_extremes
+from mckaycuts.quiver import Cut, build_mckay, is_acyclic
+from mckaycuts.typesimplex import enumerate_types
+from conftest import NAMED_SPECS, oracle_extremes
 from oracles import all_cuts_exhaustive
 
 THIRD = {"n": 2, "generators": [{"order": 3, "weights": [1, 1, 1]}]}
@@ -26,6 +41,12 @@ KLEIN = {
     ],
 }
 QUARTER_112 = {"n": 2, "generators": [{"order": 4, "weights": [1, 1, 2]}]}
+# 2,100 arrows, 4,500 relation squares and 3.5 MB of `construct` JSON.
+C300 = {"n": 6, "generators": [{"order": 300, "weights": [1, 2, 3, 4, 5, 6, 279]}]}
+C300_TYPE = "1,2,3,4,5,6,279"
+C300_CONSTRUCT_SHA256 = (
+    "376fd11844c7125cefd8618259946a9872203b02f26be19b05712d5b462e58cb"
+)
 
 # Runs its arguments as a command and prints its exit code, the sha256 of
 # its stdout and its peak RSS in KiB (``ru_maxrss`` from ``wait4``, Linux).
@@ -344,6 +365,135 @@ class TestConstruct:
         assert out.count("style=dashed") == 3
 
 
+def group_json(n, generators):
+    return {
+        "n": n,
+        "generators": [{"order": o, "weights": list(w)} for o, w in generators],
+    }
+
+
+def construct_stdout(group, cut_type):
+    """(exit code, stdout) of ``construct`` on a group given on stdin."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(group))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["construct", "--type", ",".join(map(str, cut_type))])
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue()
+
+
+def construct_tree(quiver, cut_type):
+    """The ``construct`` payload as a dict tree, built from the library."""
+    cut = construct_cut(quiver, cut_type)
+    sub, relations = degree_zero_presentation(quiver, cut)
+    return {
+        "cut": cut_to_json(cut),
+        "height": height_from_cut(quiver, cut).to_json(),
+        "degree_zero": {
+            "arrows": [_arrow_json(quiver, v, t) for v, t in sub.arrows],
+            "relations": [
+                [_arrow_json(quiver, v, t) for v, t in square]
+                for square in relations
+            ],
+        },
+        "acyclic": is_acyclic(sub),
+    }
+
+
+def assert_construct_is_the_tree(group, quiver, cut_type):
+    code, out = construct_stdout(group, cut_type)
+    assert code == 0
+    assert out == json.dumps(construct_tree(quiver, cut_type), indent=2) + "\n"
+    return out
+
+
+@st.composite
+def cyclic_groups_with_types(draw):
+    """A cyclic group 1/m(w) with n <= 3 and m <= 12, its quiver and a type."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 12))
+    weights = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+    weights.append(-sum(weights) % order)
+    assume(gcd(order, *weights) == 1)  # the generator acts with order m
+    generators = [(order, tuple(weights))]
+    quiver = build_mckay(embedding_from_spec(GroupSpec.make(n, generators)))
+    cut_type = draw(st.sampled_from(enumerate_types(quiver.embedding).all_types))
+    return group_json(n, generators), quiver, cut_type
+
+
+class TestConstructStreaming:
+    @pytest.mark.parametrize("name", sorted(NAMED_SPECS))
+    def test_stdout_is_the_tree_for_every_type(self, name):
+        n, generators = NAMED_SPECS[name]
+        embedding = embedding_from_spec(GroupSpec.make(n, generators))
+        quiver = build_mckay(embedding)
+        for cut_type in enumerate_types(embedding).all_types:
+            out = assert_construct_is_the_tree(
+                group_json(n, generators), quiver, cut_type
+            )
+            # n = 1 is the Kronecker quiver, where no relation survives
+            assert ('"relations": []' in out) == (n == 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cyclic_groups_with_types())
+    def test_stdout_is_the_tree_on_random_groups(self, drawn):
+        assert_construct_is_the_tree(*drawn)
+
+    def test_c300_digest_and_one_encoding_per_arrow_and_depth(
+        self, capsys, write_input, monkeypatch
+    ):
+        calls = Counter()
+
+        def counted(quiver, v, t):
+            calls[v, t] += 1
+            return _arrow_json(quiver, v, t)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the payload went through json.dump")
+
+        monkeypatch.setattr(cli, "_arrow_json", counted)
+        monkeypatch.setattr(json, "dump", refuse)
+        code, out, _ = run_cli(
+            capsys, ["--input", write_input(C300), "construct", "--type", C300_TYPE]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == C300_CONSTRUCT_SHA256
+        # 20,100 arrow objects are printed, but each of the 2,100 arrows is
+        # encoded once at depth 3 and, if a relation square holds it, once
+        # more at depth 4; one dict per printed arrow took 20,100 calls.
+        assert out.count('"arrow_type"') == 20100
+        assert len(calls) == 2100 and max(calls.values()) <= 2
+
+    def test_c300_digest_and_peak_memory(self, write_input):
+        # The CLI's peak RSS above that of a call with a tiny output: about
+        # 6.5 MiB when the payload was a dict tree dumped by ``json.dump``,
+        # under 1 MiB streamed.  Both are started from a small intermediate
+        # process, as in the lattice test above.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+        def probe(group, *command):
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_PROBE,
+                 sys.executable, "-m", "mckaycuts.cli",
+                 "--input", write_input(group), *command],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, digest, peak_kib = proc.stdout.split()
+            assert code == "0"
+            return digest, int(peak_kib)
+
+        _, small_kib = probe(THIRD, "types")
+        digest, peak_kib = probe(C300, "construct", "--type", C300_TYPE)
+        assert digest == C300_CONSTRUCT_SHA256
+        assert peak_kib - small_kib < 4 * 1024
+
+
 class TestLatticeAndExtremes:
     def test_chain(self, capsys, write_input):
         code, out, _ = run_cli(
@@ -505,6 +655,8 @@ class TestLatticeStreaming:
         (GROUP, ["lattice", "--type", "7,11,6"], 100),
         # A short output still in the stdout buffer when the reader is gone.
         (THIRD, ["types"], 0),
+        # About 3.5 MB, streamed in chunks as the lattice is.
+        (C300, ["construct", "--type", C300_TYPE], 100),
     ])
     def test_closed_pipe_exits_141_quietly(self, write_input, group, command, read):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

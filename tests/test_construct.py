@@ -1,8 +1,14 @@
 """The decreasing-arrow cut construction and degree-zero presentations."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckaycuts.construct import (
+    _indented,
+    _json_array,
     construct_cut,
     cut_from_json,
     cut_to_json,
@@ -185,3 +191,61 @@ class TestCutJson:
         assert payload["type"] == [1, 2, 3]
         arrows = cut_from_json(quiver, payload)
         assert arrows == cut.arrows
+
+
+def dumped(obj, depth):
+    """``json.dumps(obj, indent=2)`` re-indented to sit ``depth`` levels deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonFragments:
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [],
+            {},
+            (),
+            [[]],
+            {"a": {}},
+            [{}, [], ()],
+            {"a": {"b": []}, "c": [{}]},
+            True,
+            False,
+            None,
+            [True, None, False, 0],
+            [1, -2, 3 ** 80],
+            "plain",
+            "h\u00e9llo \u2603 \U0001f600 \"q\" \\ \n\t",
+            {"\u00fc": ["x\ny", "\u00e9"]},
+            (1, 2),
+            ((1,), [2, (3,)]),
+            {"source": (0, 1), "arrow_type": 2},
+            # both take the json.dumps fallback
+            {1: "a", "b": [2]},
+            1.5,
+            [1.5, 2],
+            {"outer": {2: [1, {"x": 0.25}]}},
+        ],
+    )
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_matches_json_dumps(self, obj, depth):
+        assert _indented(obj, depth) == dumped(obj, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values, st.integers(0, 4))
+    def test_matches_json_dumps_on_random_values(self, obj, depth):
+        assert _indented(obj, depth) == dumped(obj, depth)
+
+    @pytest.mark.parametrize("items", [[], [[1, 2]], [{"a": None}, [], "s"]])
+    def test_array_layout(self, items):
+        texts = [_indented(item, 2) for item in items]
+        assert "".join(_json_array(texts, 1)) == dumped(items, 1)
