@@ -1,9 +1,9 @@
 """Walkthrough: constructing cuts and reading them off height functions.
 
 Uses 1/6(1,2,3), a cyclic group rich enough to have trivial, positive,
-and gcd-degenerate types.  For each admissible type we build the
-decreasing-arrow cut, convert it to its height function and back, and
-inspect the degree-zero quiver the cut leaves behind.
+and gcd-degenerate types.  For each admissible type we build the cut
+where <x, type'> mod m wraps, convert it to its height function and
+back, and inspect the degree-zero quiver the cut leaves behind.
 """
 
 from math import gcd

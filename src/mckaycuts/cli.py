@@ -92,7 +92,10 @@ def _parse_type(text: str, n: int) -> tuple[int, ...]:
     entries = text.replace(" ", "").split(",")
     if not all(_TYPE_ENTRY.fullmatch(p) for p in entries):
         raise _CliError(EXIT_PARSE, f"malformed type vector {text!r}")
-    parts = tuple(map(int, entries))
+    try:
+        parts = tuple(map(int, entries))
+    except ValueError as exc:  # an entry past int()'s digit limit
+        raise _CliError(EXIT_PARSE, f"malformed type vector: {exc}") from exc
     if len(parts) != n + 1:
         raise _CliError(
             EXIT_PARSE, f"type vector must have {n + 1} entries, got {len(parts)}"

@@ -1,18 +1,23 @@
 """Constructing a concrete cut for each admissible type.
 
-The construction labels every vertex through the homomorphism
-``x -> <x, type> mod m`` divided by the gcd of the type entries, and
-cuts exactly the label-decreasing arrows; this realises each admissible
-type by a cut that is periodic for the larger intermediate lattice.
+The construction gives every vertex the residue ``xi(v) = <x_v, type'>
+mod m`` (type' being the first n entries), well defined on cosets for
+an admissible type.  Along an arrow of type t, xi steps by ``type_t``,
+or by ``type_t - m`` where ``xi(v) + type_t`` wraps past m, so xi is a
+vertex potential of the type in the sense of :mod:`mckaycuts.heights`,
+and the cut is the arrows where it wraps, read off by the same step
+check that reads every cut off its potential.  Every other cut of the
+type is measured against this one, the seed of the lattice walk in
+:mod:`mckaycuts.mutation`.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from math import gcd
 
 from .groups import _json_int
+from .heights import _cut_steps, _seed_potential
 from .intlat import LatticeEmbedding
 from .quiver import Cut, McKayQuiver, Subquiver, cut_quiver, type_of
 from .typesimplex import require_admissible
@@ -29,37 +34,11 @@ def xi_gamma(embedding: LatticeEmbedding, x, cut_type) -> int:
     return sum(r * g for r, g in zip(rep, cut_type)) % embedding.m
 
 
-def vertex_labels(quiver: McKayQuiver, cut_type) -> tuple[int, ...]:
-    """Labels ``xi(v)/d`` in ``{0, ..., m/d - 1}`` for every vertex."""
-    embedding = quiver.embedding
-    cut_type = require_admissible(embedding, cut_type)
-    d = gcd(*cut_type)
-    labels = []
-    for rep in quiver.vertices:
-        xi = sum(r * g for r, g in zip(rep, cut_type)) % embedding.m
-        assert xi % d == 0, "xi values are multiples of the type gcd"
-        labels.append(xi // d)
-    return tuple(labels)
-
-
 def construct_cut(quiver: McKayQuiver, cut_type) -> Cut:
-    """A cut of the given admissible type, by cutting decreasing arrows."""
-    embedding = quiver.embedding
-    cut_type = require_admissible(embedding, cut_type)
-    m = embedding.m
-    d = gcd(*cut_type)
-    m_prime = m // d
-    if m_prime == 1:
-        which = cut_type.index(m) + 1
-        arrows = frozenset((v, which) for v in range(m))
-        return Cut(quiver=quiver, arrows=arrows)
-    labels = vertex_labels(quiver, cut_type)
-    arrows = set()
-    for v, t in quiver.arrows():
-        j = labels[v]
-        if j > (j + cut_type[t - 1] // d) % m_prime:
-            arrows.add((v, t))
-    return Cut(quiver=quiver, arrows=frozenset(arrows))
+    """A cut of the given admissible type: the arrows where xi wraps past m."""
+    cut_type = require_admissible(quiver.embedding, cut_type)
+    xi = _seed_potential(quiver.embedding, cut_type)
+    return Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, xi))
 
 
 RelationSquare = tuple[tuple[int, int], ...]

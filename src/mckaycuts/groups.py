@@ -13,7 +13,14 @@ import operator
 from dataclasses import dataclass
 
 from .errors import NonFaithfulSpecError
-from .intlat import LatticeEmbedding, Vec, hnf, kernel_basis
+from .intlat import (
+    LatticeEmbedding,
+    Vec,
+    hnf,
+    identity_matrix,
+    kernel_basis,
+    mat_mul,
+)
 
 
 @dataclass(frozen=True)
@@ -59,30 +66,25 @@ def embedding_from_spec(spec: GroupSpec) -> LatticeEmbedding:
 
     L1 is the kernel of ``v -> (sum_i w_{j,i} v_i mod m_j)_j`` using the
     first n weights of each generator; the last weight is implied by the
-    SL condition.  Rejects generating data whose direct-sum order
-    disagrees with the resulting lattice index.
+    SL condition.  It is cut out one generator at a time.  With H the
+    HNF basis of the lattice so far, ``x = H y`` meets the congruence of
+    a generator (r, w) exactly when ``(y, k)`` lies in the kernel of the
+    row ``[w H mod r, -r]`` for some k, which r determines, so the
+    kernel projects to a basis K of the y's and the next H is the HNF of
+    ``H K``.  An order-1 generator cuts nothing and is skipped.  Rejects
+    generating data whose direct-sum order disagrees with the resulting
+    lattice index.
     """
     n = spec.n
-    if not spec.generators:
-        return LatticeEmbedding.identity(n)
-    g = len(spec.generators)
-    # Kernel of [A | -diag(orders)] : Z^(n+g) -> Z^g, projected to the
-    # first n coordinates.  The projection is injective on the kernel
-    # because the diagonal block is nonsingular.
-    rows = []
-    for j, gen in enumerate(spec.generators):
-        row = list(gen.weights[:n]) + [0] * g
-        row[n + j] = -gen.order
-        rows.append(tuple(row))
-    basis = kernel_basis(tuple(rows))
-    if len(basis) != n:
-        raise AssertionError("kernel rank must equal n")
-    columns = [vec[:n] for vec in basis]
-    mat = tuple(tuple(col[i] for col in columns) for i in range(n))
-    h, _ = hnf(mat)
-    m = 1
-    for i in range(n):
-        m *= h[i][i]
+    h = identity_matrix(n)
+    for gen in spec.generators:
+        r = gen.order
+        if r == 1:
+            continue
+        row = [sum(map(operator.mul, gen.weights, col)) % r for col in zip(*h)]
+        basis = kernel_basis(((*row, -r),))
+        h, _ = hnf(mat_mul(h, tuple(zip(*basis))[:n]))
+    m = math.prod(h[i][i] for i in range(n))
     stated = math.prod(gen.order for gen in spec.generators)
     if stated != m:
         raise NonFaithfulSpecError(

@@ -21,9 +21,13 @@ gamma_t - m if it is cut, which is a step of h by +1 or -n.  Cut ->
 height assigns g breadth-first; height -> cut recovers gamma from the
 L1 values and g from the heights.  Both read the cut off one step check
 of g, and ``max_via_p`` passes its shortest-path distances, which are
-g, to the same construction.  The quiver keeps no per-type state; the
-lattice walk and the extremes in :mod:`mckaycuts.mutation` work on
-relative height vectors and never see a step.
+g, to the same construction.  The seed cut is the cut of the potential
+``xi(v) = <x_v, gamma'> mod m``, gamma' being the first n entries:
+``construct_cut`` reads it off the same step check, and the lattice
+walk and the extremes in :mod:`mckaycuts.mutation` read their bounds
+off xi and then work on relative height vectors alone.  ``<x_v, w>``
+and xi come from one pass over the HNF box, ``_pairings``.  The quiver
+keeps no per-type state.
 """
 
 from __future__ import annotations
@@ -123,24 +127,33 @@ class HeightFunction:
         }
 
 
-def _linear_parts(embedding: LatticeEmbedding, cut_type: Vec) -> list[int]:
-    """``<x_v, w>`` for every vertex v, with ``w_i = m - (n+1) * type_i``.
+def _pairings(embedding: LatticeEmbedding, weights) -> list[int]:
+    """``<x_v, w>`` for every vertex v, w being the first n ``weights``.
 
     One pass over the box of the HNF diagonal, in the lexicographic
     order of ``embedding.fundamental_domain()``, the vertex order.
     """
-    m, rise = embedding.m, embedding.n + 1
     parts = [0]
-    for d, g in zip(embedding.diagonal, cut_type):
-        w = m - rise * g
+    for d, w in zip(embedding.diagonal, weights):
         parts = [a + c * w for a in parts for c in range(d)]
     return parts
+
+
+def _seed_potential(embedding: LatticeEmbedding, cut_type: Vec) -> list[int]:
+    """The potential ``xi(v) = <x_v, type'> mod m`` of the constructed cut.
+
+    Along an arrow of type t it steps by ``type_t``, or by ``type_t - m``
+    where ``xi(v) + type_t`` wraps past m.  An admissible type makes
+    ``<x, type'> mod m`` constant on cosets, so xi is a potential of the
+    type, and ``construct_cut`` reads its cut off the step check.
+    """
+    return [p % embedding.m for p in _pairings(embedding, cut_type)]
 
 
 def _heights(embedding: LatticeEmbedding, cut_type: Vec, potential) -> HeightFunction:
     """The height function ``(<x_v, w> + (n+1) * g(v)) / m`` of a type."""
     m, rise = embedding.m, embedding.n + 1
-    parts = _linear_parts(embedding, cut_type)
+    parts = _pairings(embedding, [m - rise * g for g in cut_type])
     scaled = [a + rise * g for a, g in zip(parts, potential)]
     values = [x // m for x in scaled]
     assert [h * m for h in values] == scaled, cut_type
@@ -262,7 +275,7 @@ def cut_from_height(quiver: McKayQuiver, height: HeightFunction) -> Cut:
         raise ValueError("a height function must vanish at the origin")
     cut_type = _type_of_l1_values(embedding, height.l1_values)
     m, rise = quiver.m, quiver.n + 1
-    parts = _linear_parts(embedding, cut_type)
+    parts = _pairings(embedding, [m - rise * g for g in cut_type])
     scaled = [m * h - a for h, a in zip(height.values, parts)]
     potential = [x // rise for x in scaled]
     if [g * rise for g in potential] != scaled:

@@ -9,14 +9,16 @@ Z^m: the integer points of one difference constraint per arrow (the
 height picture of Propp, "Lattice structure for orientations of
 graphs", arXiv:math/0209005).
 
-The lattice walk and both extremes work on those constraints alone,
-read off the seed cut's arrows by ``_Bounds``; height functions and L1
-values stay in :mod:`mckaycuts.heights`.  One walk enumerates every
-type.  It runs on v-vectors, starting from the seed's, zero.  Arrows of
-a type with count 0 are never cut, so v is constant along them and the
-walk moves whole classes (connected components of those arrows) by
-one: up when every bound leaving the class has slack 1, down when every
-one has slack 0.  These moves are the covers of the lattice, its Hasse
+The seed is the constructed cut, the cut of the vertex potential
+``xi(v) = <x_v, type'> mod m`` (see :mod:`mckaycuts.construct`).  The
+lattice walk and both extremes work on those constraints alone, which
+``_Bounds`` reads straight off xi; height functions and L1 values stay
+in :mod:`mckaycuts.heights`.  One walk enumerates every type.  It runs
+on v-vectors, starting from the seed's, zero.  Arrows of a type with
+count 0 are never cut, so v is constant along them and the walk moves
+whole classes (connected components of those arrows) by one: up when
+every bound leaving the class has slack 1, down when every one has
+slack 0.  These moves are the covers of the lattice, its Hasse
 edges, for every type; for a positive type every class is a single
 vertex and the moves are exactly the mutations at nonzero sources and
 sinks.  A cut is read off its vector as the arrows whose difference is
@@ -46,15 +48,15 @@ from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
 
-from .construct import (
-    _arrow_json,
-    _indented,
-    _json_array,
-    construct_cut,
-    cut_to_json,
-)
+from .construct import _arrow_json, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
-from .heights import HeightFunction, _heights, cut_from_height, height_from_cut
+from .heights import (
+    HeightFunction,
+    _heights,
+    _seed_potential,
+    cut_from_height,
+    height_from_cut,
+)
 from .intlat import Vec
 from .quiver import (
     Cut,
@@ -251,9 +253,11 @@ def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
 class _Bounds:
     """The cuts of one type as difference constraints on v-vectors.
 
-    Everything is read from the seed cut s = ``construct_cut(quiver,
-    cut_type)``.  Along each arrow u -> w a cut's v-vector keeps ``low
-    <= v[w] - v[u] <= low + 1``, with low = 0 if s cuts the arrow and -1
+    Everything is read off the seed potential xi, whose cut s is the
+    constructed cut: s cuts an arrow u -> w of type t exactly where
+    ``xi[u] + type_t`` wraps past m.  Along each such arrow a cut's
+    v-vector keeps ``low <= v[w] - v[u] <= low + 1``, with low =
+    ``(xi[u] + type_t) // m - 1``, which is 0 if s cuts the arrow and -1
     if not, and the cut holds the arrow exactly when the difference is
     at its lower bound (see :func:`enumerate_cut_lattice`).  ``arrows``
     lists these as (u, t, w, low), t being the arrow's type, sorted by
@@ -271,19 +275,20 @@ class _Bounds:
     """
 
     def __init__(self, quiver: McKayQuiver, cut_type) -> None:
-        seed = construct_cut(quiver, cut_type).arrows
+        xi = _seed_potential(quiver.embedding, cut_type)
+        m = quiver.m
         self.quiver = quiver
         self.arrows = [
-            (u, t, w, -((u, t) not in seed))
+            (u, t, w, (xi[u] + g) // m - 1)
             for u, row in enumerate(quiver.targets)
-            for t, w in enumerate(row, start=1)
+            for t, w, g in zip(quiver.types, row, cut_type)
         ]
         self.pairs = [(u, t) for u, t, _, _ in self.arrows]
-        self.edges = [[] for _ in range(quiver.m)]
+        self.edges = [[] for _ in range(m)]
         for u, _, w, low in self.arrows:
             self.edges[u].append((w, low))
             self.edges[w].append((u, -1 - low))
-        zero = set(quiver.types).difference(t for _, t in seed)
+        zero = [t for t, g in zip(quiver.types, cut_type) if not g]
         # Each count-0 arrow lies on a cycle of its own type, so following
         # out-arrows alone finds the components.
         label = [-1] * quiver.m

@@ -255,6 +255,38 @@ class TestErrorPaths:
         assert "unsupported size: n = 1000" in proc.stderr
 
     @pytest.mark.parametrize(
+        "generators, code, err",
+        [
+            ([{"order": 1, "weights": [0, 0, 0]}] * 5000, 0, ""),
+            (
+                [
+                    {"order": 7, "weights": [1, 2, 4]},
+                    {"order": 5, "weights": [1, 1, 3]},
+                ] * 100,
+                2,
+                "non-faithful or redundant generating data",
+            ),
+        ],
+        ids=["5000_order_1", "200_non_faithful"],
+    )
+    def test_many_generators_are_intersected_one_at_a_time(
+        self, write_input, generators, code, err
+    ):
+        # One kernel of a g x (n+g) matrix took 26 s on 800 order-1
+        # generators and over two minutes on the 200 non-faithful ones.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mckaycuts.cli", "--input",
+             write_input({"n": 2, "generators": generators}), "types"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert err in proc.stderr
+
+    @pytest.mark.parametrize(
         "group, code",
         [
             ({"n": 7}, 3),
@@ -301,9 +333,17 @@ class TestErrorPaths:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("spelling", ["1_1,0,1", "\u0663,\u0663,\u0666"])
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            "1_1,0,1",
+            "\u0663,\u0663,\u0666",
+            pytest.param("9" * 5000 + ",1,1", id="5000_digits"),
+        ],
+    )
     def test_non_ascii_integer_type_exits_2(self, capsys, write_input, spelling):
-        # int() reads these as (11, 0, 1) and (3, 3, 6).
+        # int() reads the first two as (11, 0, 1) and (3, 3, 6) and
+        # refuses the third with ValueError, past its digit limit.
         code, out, err = run_cli(
             capsys,
             ["--input", write_input(THIRD), "lattice", "--type", spelling],

@@ -13,12 +13,12 @@ from mckaycuts.construct import (
     cut_from_json,
     cut_to_json,
     degree_zero_presentation,
-    vertex_labels,
     xi_gamma,
 )
 from mckaycuts.errors import InadmissibleTypeError
 from mckaycuts.heights import h_gamma, height_from_cut
 from mckaycuts.intlat import LatticeEmbedding
+from mckaycuts.mutation import _Bounds
 from mckaycuts.quiver import (
     build_mckay,
     cut_quiver,
@@ -109,7 +109,7 @@ class TestConstructCut:
             m_prime = emb.m // d
             if m_prime == 1:
                 continue
-            labels = vertex_labels(quiver, t)
+            labels = [xi_gamma(emb, rep, t) // d for rep in quiver.vertices]
             cut = construct_cut(quiver, t)
             for cycle in quiver.elementary_cycles():
                 decreasing = [
@@ -135,12 +135,20 @@ class TestConstructCut:
         cut = construct_cut(quiver, (2, 2, 0))
         assert type_of(cut) == (2, 2, 0)
         assert is_cut(quiver, cut.arrows)
-        assert vertex_labels(quiver, (2, 2, 0)) == (0, 1, 0, 1)
+        labels = [xi_gamma(emb, rep, (2, 2, 0)) // 2 for rep in quiver.vertices]
+        assert labels == [0, 1, 0, 1]
 
     def test_rejects_inadmissible(self):
         _, _, quiver = instance("third_111")
         with pytest.raises(InadmissibleTypeError):
             construct_cut(quiver, (2, 1, 0))
+
+    def test_lattice_bounds_hold_the_constructed_cut(self, named_instance):
+        # Both read the seed off xi; the arrows at low 0 are its cut.
+        _, emb, quiver = named_instance
+        for t in enumerate_types(emb).all_types:
+            seed = {(u, ty) for u, ty, _, low in _Bounds(quiver, t).arrows if not low}
+            assert seed == construct_cut(quiver, t).arrows, t
 
 
 class TestDegreeZeroPresentation:
