@@ -248,20 +248,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    embedding, _ = _load(args)
-    quiver = build_mckay(embedding)
     if args.what == "quiver":
-        _emit(quiver_to_dot(quiver))
+        embedding, _ = _load(args)
+        _emit(quiver_to_dot(build_mckay(embedding)))
         return EXIT_OK
     if args.type is None:
         raise _CliError(EXIT_PARSE, f"export-dot {args.what} requires --type")
-    if args.what == "cut":
-        cut_type = _require_type(args, embedding)
-        _emit(quiver_to_dot(quiver, construct_cut(quiver, cut_type)))
-        return EXIT_OK
-    lattice = enumerate_cut_lattice(quiver, _require_type(args, embedding))
-    _emit(lattice.hasse_dot())
-    return EXIT_OK
+    # The cut and the Hasse diagram are the DOT formats of construct and
+    # lattice, which read the input themselves.
+    args.format = "dot"
+    return (_cmd_construct if args.what == "cut" else _cmd_lattice)(args)
 
 
 def _nonnegative(text: str) -> int:

@@ -143,7 +143,6 @@ def cut_from_json(quiver: McKayQuiver, obj: dict) -> frozenset[tuple[int, int]]:
     arrows = set()
     for entry in obj["arrows"]:
         source = tuple(_json_int(c, "source") for c in entry["source"])
-        rep = quiver.embedding.reduce(source)
         arrow_type = _json_int(entry["arrow_type"], "arrow_type")
-        arrows.add((quiver.index[rep], arrow_type))
+        arrows.add((quiver.embedding.vertex(source), arrow_type))
     return frozenset(arrows)

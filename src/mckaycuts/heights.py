@@ -26,15 +26,18 @@ g, to the same construction.  The seed cut is the cut of the potential
 ``construct_cut`` reads it off the same step check, and the lattice
 walk and the extremes in :mod:`mckaycuts.mutation` read their bounds
 off xi and then work on relative height vectors alone.  ``<x_v, w>``
-and xi come from one pass over the HNF box, ``_pairings``.  The quiver
-keeps no per-type state.
+and xi both come from ``_pairings`` over the representatives of
+``LatticeEmbedding.fundamental_domain``, which is the vertex order, and
+a height is evaluated anywhere through ``LatticeEmbedding.vertex``.
+Neither the quiver nor this module keeps per-type state: the L1 values
+are recomputed for each height function, at a cost small next to its
+step check over all m(n+1) arrows.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import NotACutError
 from .intlat import LatticeEmbedding, Vec
@@ -72,13 +75,8 @@ def types_equal_iff_h_equal(embedding: LatticeEmbedding, type_a, type_b) -> bool
     )
 
 
-@lru_cache(maxsize=64)
 def _l1_values(embedding: LatticeEmbedding, cut_type: Vec) -> Vec:
-    """The height homomorphism of a type on the HNF basis of L1.
-
-    Cached, because every cut of one type needs it; the keys are values,
-    so the cache holds no quiver.
-    """
+    """The height homomorphism of a type on the HNF basis of L1."""
     return tuple(
         h_gamma(embedding, col, cut_type) for col in embedding.basis_columns()
     )
@@ -105,13 +103,7 @@ class HeightFunction:
             tuple(a - b for a, b in zip(x, rep))
         )
         assert coeffs is not None
-        # The fundamental domain is the box of the HNF diagonal in
-        # lexicographic order, so a representative's position in it is
-        # its mixed-radix value.
-        vertex = 0
-        for c, d in zip(rep, self.embedding.diagonal):
-            vertex = vertex * d + c
-        return self.values[vertex] + sum(
+        return self.values[self.embedding.vertex(rep)] + sum(
             c * v for c, v in zip(coeffs, self.l1_values)
         )
 
@@ -128,15 +120,11 @@ class HeightFunction:
 
 
 def _pairings(embedding: LatticeEmbedding, weights) -> list[int]:
-    """``<x_v, w>`` for every vertex v, w being the first n ``weights``.
-
-    One pass over the box of the HNF diagonal, in the lexicographic
-    order of ``embedding.fundamental_domain()``, the vertex order.
-    """
-    parts = [0]
-    for d, w in zip(embedding.diagonal, weights):
-        parts = [a + c * w for a in parts for c in range(d)]
-    return parts
+    """``<x_v, w>`` for every vertex v, w being the first n ``weights``."""
+    return [
+        sum(map(operator.mul, rep, weights))
+        for rep in embedding.fundamental_domain()
+    ]
 
 
 def _seed_potential(embedding: LatticeEmbedding, cut_type: Vec) -> list[int]:

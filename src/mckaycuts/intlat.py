@@ -306,6 +306,19 @@ class LatticeEmbedding:
         """All m canonical representatives, in lexicographic order."""
         return tuple(product(*(range(d) for d in self.diagonal)))
 
+    def vertex(self, x) -> int:
+        """Position of ``x + L1`` in ``fundamental_domain()``.
+
+        The domain is the box of the HNF diagonal in lexicographic order,
+        so a coset's position is the mixed-radix value of its canonical
+        representative.  This is the one map from cosets to vertex
+        numbers of the McKay quiver.
+        """
+        vertex = 0
+        for i, c in enumerate(self.reduce(x)):
+            vertex = vertex * self.hnf[i][i] + c
+        return vertex
+
     def l1_coefficients(self, y) -> Vec | None:
         """Coefficients of ``y`` in the HNF basis, or None if ``y`` is not in L1."""
         y = tuple(map(operator.index, y))

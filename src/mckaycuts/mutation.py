@@ -23,8 +23,8 @@ edges, for every type; for a positive type every class is a single
 vertex and the moves are exactly the mutations at nonzero sources and
 sinks.  A cut is read off its vector as the arrows whose difference is
 at its lower bound.  The vectors are the lattice: it keeps no cut, and
-``MutationLattice.cuts`` is a read-only sequence that builds each cut
-from its vector when it is accessed.
+``MutationLattice.cuts`` is a read-only property, a sequence that reads
+each cut off its vector through the seed's bounds when it is accessed.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
@@ -141,28 +141,36 @@ class MutationLattice:
     """All cuts of one type, ordered by relative height vectors.
 
     ``v_vectors`` are sorted lexicographically, so output is
-    deterministic.  ``cuts`` is a read-only sequence in the same order
-    that holds no ``Cut``: indexing or iterating it builds each cut from
-    its vector (a slice gives a tuple of cuts), so read a cut once where
-    it is used often.  ``hasse_edges`` are the covers as (lower index, upper
-    index, vertex) triples, the vertex being the first of the class that
-    moves (for a positive type, the vertex mutated).  ``to_json`` builds
-    the JSON tree; ``json_chunks`` writes the same tree's ``indent=2``
-    text piece by piece without building it, which is how the
-    ``lattice`` command prints it.  The fragment encoder ``_indented``
-    and the array layout ``_json_array`` it uses live in ``construct``,
-    next to ``_arrow_json``, and also serve the ``construct`` command.
+    deterministic.  ``bounds`` are the seed cut's difference constraints
+    (see :class:`_Bounds`).  ``cuts`` is a read-only property: a sequence
+    in the order of ``v_vectors`` that holds no ``Cut``.  Indexing or
+    iterating it reads each cut off its vector through ``bounds`` (a
+    slice gives a tuple of cuts), so read a cut once where it is used
+    often.  The vectors are stored once, so a copy made with other
+    vectors reads off their cuts.  ``hasse_edges`` are the covers as
+    (lower index, upper index, vertex) triples, the vertex being the
+    first of the class that moves (for a positive type, the vertex
+    mutated).  ``to_json`` builds the JSON tree; ``json_chunks`` writes
+    the same tree's ``indent=2`` text piece by piece without building
+    it, which is how the ``lattice`` command prints it.  The fragment
+    encoder ``_indented`` and the array layout ``_json_array`` it uses
+    live in ``construct``, next to ``_arrow_json``, and also serve the
+    ``construct`` command.
     """
 
     cut_type: Vec
-    cuts: Sequence[Cut]
     v_vectors: tuple[Vec, ...]
     hasse_edges: tuple[tuple[int, int, int], ...]
     max_index: int
     min_index: int
+    bounds: _Bounds = field(repr=False)
+
+    @property
+    def cuts(self) -> Sequence[Cut]:
+        return _LatticeCuts(self.bounds, self.v_vectors, self.cut_type)
 
     def to_json(self) -> dict:
-        quiver = self.cuts[0].quiver
+        quiver = self.bounds.quiver
         return {
             "type": list(self.cut_type),
             "cuts": [cut_to_json(c) for c in self.cuts],
@@ -189,7 +197,7 @@ class MutationLattice:
         slack 0.  An arrow's object depends only on (vertex, type), so
         each fragment is encoded once and then reused.
         """
-        bounds = self.cuts.bounds
+        bounds = self.bounds
         quiver = bounds.quiver
         k = quiver.n + 1
         # An item of a cut's "arrows" array, with the line break before it;
@@ -218,7 +226,7 @@ class MutationLattice:
             for lo, hi, vx in self.hasse_edges
         )
         yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
-        yield from _json_array(map(cut_text, self.cuts.vectors), 1)
+        yield from _json_array(map(cut_text, self.v_vectors), 1)
         yield ',\n  "v_vectors": '
         yield from _json_array((_indented(v, 2) for v in self.v_vectors), 1)
         yield ',\n  "hasse_edges": '
@@ -229,7 +237,7 @@ class MutationLattice:
         )
 
     def hasse_dot(self) -> str:
-        quiver = self.cuts[0].quiver
+        quiver = self.bounds.quiver
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for i, vec in enumerate(self.v_vectors):
             label = ",".join(str(c) for c in vec)
@@ -453,11 +461,11 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     edges.sort()
     return MutationLattice(
         cut_type=cut_type,
-        cuts=_LatticeCuts(bounds, v_vectors, cut_type),
         v_vectors=v_vectors,
         hasse_edges=tuple(edges),
         max_index=_dominant_index(v_vectors, max),
         min_index=_dominant_index(v_vectors, min),
+        bounds=bounds,
     )
 
 

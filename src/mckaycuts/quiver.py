@@ -4,10 +4,12 @@ The quiver of an embedding has one vertex per coset of L1 in Z^n and,
 for each vertex, one outgoing arrow per step direction alpha_1, ...,
 alpha_n, alpha_{n+1} = -(alpha_1 + ... + alpha_n).  An arrow is
 identified by the pair ``(source index, type)`` with types 1..n+1.
-A quiver is a plain graph: its vertices and target and incoming-arrow
-tables, nothing that depends on a cut type, which keeps it the same
-size however many types are asked of it (height functions are built in
-:mod:`mckaycuts.heights`).
+Vertex v is the coset at position v of the embedding's fundamental
+domain, and ``LatticeEmbedding.vertex`` numbers any coset.  A quiver is
+a plain graph: its vertices and its target table, nothing that depends
+on a cut type, which keeps it the same size however many types are
+asked of it (height functions are built in :mod:`mckaycuts.heights`).
+The arrows into a vertex are worked out from its coset on demand.
 
 A cut is an arrow set meeting every elementary cycle exactly once.
 There are m * n! elementary cycles, so they are walked on demand
@@ -44,9 +46,7 @@ def step_vectors(n: int) -> tuple[Vec, ...]:
 class McKayQuiver:
     embedding: LatticeEmbedding
     vertices: tuple[Vec, ...]
-    index: dict[Vec, int]
     targets: tuple[tuple[int, ...], ...]
-    incoming: tuple[tuple[Arrow, ...], ...]
 
     @property
     def n(self) -> int:
@@ -72,7 +72,12 @@ class McKayQuiver:
         return tuple((v, t) for t in self.types)
 
     def in_arrows(self, v: int) -> tuple[Arrow, ...]:
-        return self.incoming[v]
+        """The arrow of each type into v, from the vertex of x_v - alpha_t."""
+        x = self.vertices[v]
+        return tuple(
+            (self.embedding.vertex(map(operator.sub, x, step)), t)
+            for t, step in zip(self.types, step_vectors(self.n))
+        )
 
     def elementary_cycles(self):
         """Yield the elementary cycles, each rotated to start with type 1.
@@ -97,26 +102,12 @@ class McKayQuiver:
 def build_mckay(embedding: LatticeEmbedding) -> McKayQuiver:
     """Cayley-graph McKay quiver; vertex 0 is the coset of the origin."""
     vertices = embedding.fundamental_domain()
-    index = {rep: i for i, rep in enumerate(vertices)}
     steps = step_vectors(embedding.n)
     targets = tuple(
-        tuple(
-            index[embedding.reduce(tuple(a + b for a, b in zip(rep, step)))]
-            for step in steps
-        )
+        tuple(embedding.vertex(map(operator.add, rep, step)) for step in steps)
         for rep in vertices
     )
-    incoming: list[list[Arrow]] = [[] for _ in vertices]
-    for v, row in enumerate(targets):
-        for t, w in enumerate(row, start=1):
-            incoming[w].append((v, t))
-    return McKayQuiver(
-        embedding=embedding,
-        vertices=vertices,
-        index=index,
-        targets=targets,
-        incoming=tuple(tuple(arr) for arr in incoming),
-    )
+    return McKayQuiver(embedding=embedding, vertices=vertices, targets=targets)
 
 
 def check_arrows(quiver: McKayQuiver, arrows) -> frozenset[Arrow]:

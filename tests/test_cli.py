@@ -601,7 +601,7 @@ class TestLatticeAndExtremes:
             low, high = vecs[e["lower"]], vecs[e["upper"]]
             moved = [x for x, (p, q) in enumerate(zip(low, high)) if p != q]
             assert all(high[x] == low[x] + 1 for x in moved)
-            assert quiver.index[tuple(e["vertex"])] == moved[0] != 0
+            assert quiver.embedding.vertex(e["vertex"]) == moved[0] != 0
         code, out, _ = run_cli(
             capsys, ["--input", path, "export-dot", "hasse", "--type", "6,6,0"]
         )
@@ -805,3 +805,25 @@ class TestExportDot:
         )
         assert code == 0
         assert out.startswith("digraph hasse")
+
+    @pytest.mark.parametrize(
+        "what, command, group, cut_type",
+        [
+            ("cut", "construct", THIRD, "1,1,1"),
+            ("hasse", "lattice", QUARTER_112, "2,2,0"),
+        ],
+        ids=["cut", "hasse"],
+    )
+    def test_cut_and_hasse_are_the_dot_formats(
+        self, capsys, write_input, what, command, group, cut_type
+    ):
+        path = write_input(group)
+        exported = run_cli(
+            capsys, ["--input", path, "export-dot", what, "--type", cut_type]
+        )
+        formatted = run_cli(
+            capsys,
+            ["--input", path, command, "--type", cut_type, "--format", "dot"],
+        )
+        assert exported == formatted
+        assert exported[0] == 0 and exported[1].startswith("digraph")

@@ -74,6 +74,15 @@ class TestEmbeddingFromSpec:
             GroupSpec.make(2, [(3, (1, 1))])
 
     @pytest.mark.parametrize(
+        "n, generators, reason",
+        [(0, [], "at least 1"), (2, [(0, (0, 0, 0))], "positive")],
+        ids=["n_0", "order_0"],
+    )
+    def test_nonpositive_n_or_order_rejected(self, n, generators, reason):
+        with pytest.raises(ValueError, match=reason):
+            GroupSpec.make(n, generators)
+
+    @pytest.mark.parametrize(
         "n, generators",
         [
             (2, [(3.9, (1, 1, 1))]),
@@ -137,6 +146,8 @@ class TestParseInput:
         emb, spec = parse_input({"n": 2, "bprime": [[3, 2], [0, 1]]})
         assert emb.m == 3
         assert spec is None
+        with pytest.raises(ValueError, match="n x n"):
+            parse_input({"n": 2, "bprime": [[3, 2]]})
 
     def test_missing_fields(self):
         with pytest.raises(ValueError):

@@ -141,6 +141,23 @@ class TestCutFromHeight:
         no_l1 = HeightFunction(embedding=emb, values=(0, -1), l1_values=())
         with pytest.raises(ValueError, match="L1 values"):
             cut_from_height(quiver, no_l1)
+        no_type = HeightFunction(embedding=emb, values=(0, -1), l1_values=(1,))
+        with pytest.raises(ValueError, match="fit no integer type"):
+            cut_from_height(quiver, no_type)
+        short = HeightFunction(embedding=emb, values=(0,), l1_values=(0,))
+        with pytest.raises(ValueError, match="canonical representatives"):
+            cut_from_height(quiver, short)
+        _, other, _ = instance("third_111")
+        foreign = HeightFunction(embedding=other, values=(0, -1), l1_values=(0,))
+        with pytest.raises(ValueError, match="different embedding"):
+            cut_from_height(quiver, foreign)
+        # On 1/4(1,1,2), (4h - <x_v, w>) / 3 must be an integer.
+        _, emb, quiver = instance("quarter_112")
+        fractional = HeightFunction(
+            embedding=emb, values=(0, 2, 2, 3), l1_values=(1, 1)
+        )
+        with pytest.raises(ValueError, match="not integral"):
+            cut_from_height(quiver, fractional)
 
 
 class TestWalkOracle:
@@ -219,6 +236,8 @@ class TestHGamma:
         assert emb.in_sublattice((3, 1))
         with pytest.raises(ValueError, match="not a valid cut type"):
             h_gamma(emb, (3, 1), (1, 0, 3))
+        with pytest.raises(ValueError, match="length 3"):
+            h_gamma(emb, (3, 1), (1, 3))
 
 
 class TestTypesEqualIffHEqual:

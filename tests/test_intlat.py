@@ -64,6 +64,21 @@ class TestHnf:
         with pytest.raises(SingularMatrixError):
             hnf(as_matrix([(1, 1), (1, 1)]))
 
+    @pytest.mark.parametrize(
+        "call, reason",
+        [
+            (lambda: as_matrix([(1, 2), (3,)]), "ragged"),
+            (lambda: mat_mul(((1, 2),), ((1, 2),)), "dimension mismatch"),
+            (lambda: det(((1, 2),)), "square"),
+            (lambda: hnf(((1, 2),)), "square"),
+            (lambda: LatticeEmbedding.from_basis([(1, 2)]), "square"),
+        ],
+        ids=["as_matrix", "mat_mul", "det", "hnf", "from_basis"],
+    )
+    def test_shape_errors_rejected(self, call, reason):
+        with pytest.raises(ValueError, match=reason):
+            call()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 3), st.randoms(use_true_random=False))
     def test_canonicity_under_unimodular_action(self, n, rng):

@@ -1,5 +1,6 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
+import dataclasses
 import json
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -629,6 +630,16 @@ class TestLatticeJsonChunks:
                 single += len(lattice.cuts) == 1
         # Both edge cases occur: nonpositive types and one-cut lattices.
         assert nonpositive > 0 and single > 0
+
+    def test_a_copy_reads_its_cuts_off_its_own_vectors(self):
+        # 1/6(1,2,3), type (1,2,3): a copy with the vectors reversed
+        # streams the same text as its tree, with the cuts reversed too.
+        lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
+        copy = dataclasses.replace(lattice, v_vectors=lattice.v_vectors[::-1])
+        assert tuple(copy.cuts) == tuple(lattice.cuts)[::-1]
+        assert "".join(copy.json_chunks()) == dumped(copy)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.cuts = tuple(copy.cuts)
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())

@@ -1,11 +1,15 @@
 """McKay quiver construction, elementary cycles, cuts, and acyclicity."""
 
+import operator
 from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from mckaycuts.errors import NotACutError
+from mckaycuts.errors import NonFaithfulSpecError, NotACutError
+from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.heights import height_from_cut
 from mckaycuts.intlat import LatticeEmbedding
 from mckaycuts.quiver import (
@@ -57,6 +61,41 @@ class TestBuild:
         _, emb, quiver = named_instance
         assert quiver.vertices[0] == (0,) * emb.n
         assert list(quiver.vertices) == sorted(quiver.vertices)
+
+
+@st.composite
+def faithful_embeddings(draw):
+    """A faithful diagonal group: n <= 4, 1-3 generators of order <= 6."""
+    n = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.integers(1, 6))
+        head = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+        gens.append((order, (*head, -sum(head) % order)))
+    try:
+        return embedding_from_spec(GroupSpec.make(n, gens))
+    except NonFaithfulSpecError:
+        assume(False)
+
+
+class TestVertexMap:
+    @settings(max_examples=100, deadline=None)
+    @given(faithful_embeddings(), st.data())
+    def test_vertex_numbers_cosets_and_in_arrows(self, emb, data):
+        for i, rep in enumerate(emb.fundamental_domain()):
+            assert emb.vertex(rep) == i
+        x = data.draw(st.lists(st.integers(-50, 50), min_size=emb.n, max_size=emb.n))
+        for column in emb.basis_columns():
+            assert emb.vertex(map(operator.add, x, column)) == emb.vertex(x)
+        # The arrows into each vertex, rebuilt from the target table.
+        quiver = build_mckay(emb)
+        into = [set() for _ in range(emb.m)]
+        for u, row in enumerate(quiver.targets):
+            for t, w in zip(quiver.types, row):
+                into[w].add((u, t))
+        for v in range(emb.m):
+            arrows = quiver.in_arrows(v)
+            assert len(arrows) == emb.n + 1 and set(arrows) == into[v]
 
 
 class TestElementaryCycles:

@@ -226,6 +226,8 @@ class TestMonomialDegree:
         _, emb, _ = instance("third_111")
         with pytest.raises(ValueError, match="invariant"):
             monomial_degree(emb, (1, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError, match="length 3"):
+            monomial_degree(emb, (3, 0), (1, 1, 1))
 
 
 class TestAdmissibility:
@@ -236,6 +238,8 @@ class TestAdmissibility:
         assert not is_admissible_type(emb, (2, 2, 2))
         assert not is_admissible_type(emb, (1, 2, 2))  # wrong sum
         assert not is_admissible_type(emb, (7, 2, -3))  # negative entry
+        assert not is_admissible_type(emb, (1, 2, 3, 0))  # wrong length
+        assert not is_admissible_type(emb, (1, 2))
 
     def test_non_integer_entries_rejected(self):
         # (1.5, 1, 1) truncates to the admissible (1, 1, 1)
