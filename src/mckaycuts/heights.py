@@ -18,10 +18,15 @@ with ``w_i = m - (n+1) * gamma_i`` for the first n entries,
 where g is an integer potential on the m vertices with g(0) = 0.  Along
 an arrow of type t, g steps by gamma_t if the arrow is uncut and by
 gamma_t - m if it is cut, which is a step of h by +1 or -n.  Cut ->
-height assigns g breadth-first; height -> cut recovers gamma from the
-L1 values and g from the heights.  Both read the cut off one step check
-of g, and ``max_via_p`` passes its shortest-path distances, which are
-g, to the same construction.  The seed cut is the cut of the potential
+potential assigns g breadth-first (``_cut_potential``), and
+``height_from_cut`` applies the formula to it; height -> cut recovers
+gamma from the L1 values and g from the heights.  Both read the cut off
+one step check of g, ``_cut_steps``.  The cut-level API of
+:mod:`mckaycuts.mutation` works on g alone and builds no height
+function: ``max_via_p`` hands its shortest-path distances, which are g,
+straight to the step check, and ``meet``, ``join`` and
+``relative_height_vector`` take the pointwise min, max and difference
+of two cuts' potentials.  The seed cut is the cut of the potential
 ``xi(v) = <x_v, gamma'> mod m``, gamma' being the first n entries:
 ``construct_cut`` reads it off the same step check, and the lattice
 walk and the extremes in :mod:`mckaycuts.mutation` read their bounds
@@ -30,8 +35,9 @@ and xi both come from ``_pairings`` over the representatives of
 ``LatticeEmbedding.fundamental_domain``, which is the vertex order, and
 a height is evaluated anywhere through ``LatticeEmbedding.vertex``.
 Neither the quiver nor this module keeps per-type state: the L1 values
-are recomputed for each height function, at a cost small next to its
-step check over all m(n+1) arrows.
+are computed once for each height function, after the step check over
+all m(n+1) arrows, and a type failing divisibility is refused before
+the walk by ``is_admissible_type``, which needs no L1 values.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, field
 from .errors import NotACutError
 from .intlat import LatticeEmbedding, Vec
 from .quiver import Arrow, Cut, McKayQuiver, check_arrows
+from .typesimplex import is_admissible_type
 
 
 def h_gamma(embedding: LatticeEmbedding, y, cut_type) -> int:
@@ -138,20 +145,6 @@ def _seed_potential(embedding: LatticeEmbedding, cut_type: Vec) -> list[int]:
     return [p % embedding.m for p in _pairings(embedding, cut_type)]
 
 
-def _heights(embedding: LatticeEmbedding, cut_type: Vec, potential) -> HeightFunction:
-    """The height function ``(<x_v, w> + (n+1) * g(v)) / m`` of a type."""
-    m, rise = embedding.m, embedding.n + 1
-    parts = _pairings(embedding, [m - rise * g for g in cut_type])
-    scaled = [a + rise * g for a, g in zip(parts, potential)]
-    values = [x // m for x in scaled]
-    assert [h * m for h in values] == scaled, cut_type
-    return HeightFunction(
-        embedding=embedding,
-        values=tuple(values),
-        l1_values=_l1_values(embedding, cut_type),
-    )
-
-
 def _cut_steps(quiver: McKayQuiver, cut_type: Vec, potential) -> frozenset[Arrow]:
     """Arrows of type t along which the potential steps by ``type_t - m``.
 
@@ -175,17 +168,16 @@ def _cut_steps(quiver: McKayQuiver, cut_type: Vec, potential) -> frozenset[Arrow
     return frozenset(out)
 
 
-def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
-    """Height function of a cut; rejects arrow sets that are not cuts.
+def _cut_potential(quiver: McKayQuiver, cut) -> tuple[Vec, list[int]]:
+    """The type of a cut and its vertex potential g, with g(0) = 0.
 
-    Works on the quotient: breadth-first assignment of the potential g
-    along out-arrows, then the step check of every arrow: g must step
-    by ``type_t - m`` exactly along the given arrows.  Any failure
-    (unknown arrow, wrong arrow count, type failing divisibility, or two
-    paths disagreeing) means the input is not a cut.
+    Works on the quotient: breadth-first assignment of g along
+    out-arrows, then the step check of every arrow: g must step by
+    ``type_t - m`` exactly along the given arrows.  Any failure (unknown
+    arrow, wrong arrow count, type failing divisibility, or two paths
+    disagreeing) means the input is not a cut, and raises NotACutError.
     """
     arrows = cut.arrows if isinstance(cut, Cut) else check_arrows(quiver, cut)
-    embedding = quiver.embedding
     n, m = quiver.n, quiver.m
     counts = [0] * (n + 1)
     for _, t in arrows:
@@ -195,12 +187,11 @@ def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
             f"a cut has exactly m = {m} arrows, got {sum(counts)}"
         )
     cut_type = tuple(counts)
-    # A type failing divisibility is refused before the walk, with the
-    # reason h_gamma gives.
-    try:
-        _l1_values(embedding, cut_type)
-    except ValueError as exc:
-        raise NotACutError(str(exc)) from exc
+    # The step check alone would refuse such a type too, since a
+    # consistent potential forces admissibility; refusing it before the
+    # walk names the reason.
+    if not is_admissible_type(quiver.embedding, cut_type):
+        raise NotACutError(f"type {cut_type} fails the divisibility condition")
 
     # Out-arrows alone reach every vertex: each step generates a finite
     # cyclic subgroup of L0/L1, so the quotient is strongly connected.
@@ -224,7 +215,28 @@ def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
             "height increments are inconsistent: the heights do not drop "
             "exactly along the given arrows, so the arrow set is not a cut"
         )
-    return _heights(embedding, cut_type, potential)
+    return cut_type, potential
+
+
+def height_from_cut(quiver: McKayQuiver, cut) -> HeightFunction:
+    """Height function of a cut; rejects arrow sets that are not cuts.
+
+    The heights are ``(<x_v, w> + (n+1) * g(v)) / m`` for the cut's
+    type and vertex potential g (see ``_cut_potential``, which raises
+    NotACutError on an arrow set that is not a cut).
+    """
+    cut_type, potential = _cut_potential(quiver, cut)
+    embedding = quiver.embedding
+    m, rise = quiver.m, quiver.n + 1
+    parts = _pairings(embedding, [m - rise * g for g in cut_type])
+    scaled = [a + rise * g for a, g in zip(parts, potential)]
+    values = [x // m for x in scaled]
+    assert [h * m for h in values] == scaled, cut_type
+    return HeightFunction(
+        embedding=embedding,
+        values=tuple(values),
+        l1_values=_l1_values(embedding, cut_type),
+    )
 
 
 def _type_of_l1_values(embedding: LatticeEmbedding, l1_values) -> Vec:

@@ -32,11 +32,15 @@ helper.  ``max_element`` and ``min_element`` run it over the seed cut's
 difference constraints; ``max_via_p``, the paper's direct construction
 of the maximum, runs it over the quiver with an arrow of type t
 weighing the type's t-th entry and hands the distances, which are the
-vertex potential of the maximal height function, to
+vertex potential of the maximal height function, to the step check of
 :mod:`mckaycuts.heights`.  The two maxima are independent and
-cross-check each other.  ``mutable_vertices``,
-``mutate_source``/``mutate_sink``, ``relative_height_vector`` and
-``meet``/``join`` remain as the cut-level API, on heights.
+cross-check each other.  ``mutable_vertices`` and
+``mutate_source``/``mutate_sink`` remain as the cut-level API on arrow
+sets.  ``relative_height_vector`` and ``meet``/``join`` remain as the
+cut-level API on vertex potentials: two cuts of one type differ in
+height by (n+1)/m times the difference of their potentials, so they
+read each cut's potential, combine the two vertex by vertex and build
+no height function.
 """
 
 from __future__ import annotations
@@ -50,13 +54,7 @@ from itertools import compress
 
 from .construct import _arrow_json, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
-from .heights import (
-    HeightFunction,
-    _heights,
-    _seed_potential,
-    cut_from_height,
-    height_from_cut,
-)
+from .heights import _cut_potential, _cut_steps, _seed_potential
 from .intlat import Vec
 from .quiver import (
     Cut,
@@ -100,40 +98,39 @@ def mutate_sink(quiver: McKayQuiver, cut: Cut, v: int) -> Cut:
     return _mutate(quiver, cut, v, "sink")
 
 
+def _pointwise(cut_a: Cut, cut_b: Cut, combine, what: str):
+    """``combine`` applied vertex by vertex to the potentials of two cuts.
+
+    Returns the quiver, the cuts' shared type and the combined values.
+    Refuses cuts of two different groups or of two types.
+    """
+    quiver = cut_a.quiver
+    if cut_b.quiver.embedding.hnf != quiver.embedding.hnf:
+        raise ValueError(f"{what} require cuts of the same quiver")
+    cut_type, g_a = _cut_potential(quiver, cut_a)
+    type_b, g_b = _cut_potential(quiver, cut_b)
+    if cut_type != type_b:
+        raise ValueError(f"{what} require cuts of the same type")
+    return quiver, cut_type, list(map(combine, g_a, g_b))
+
+
 def relative_height_vector(cut: Cut, reference: Cut) -> Vec:
     """Per-vertex height difference against a reference cut, over n+1."""
-    quiver = cut.quiver
-    if type_of(cut) != type_of(reference):
-        raise ValueError("relative heights require cuts of the same type")
-    rise = quiver.n + 1
-    h = height_from_cut(quiver, cut).values
-    h_ref = height_from_cut(quiver, reference).values
-    assert all((a - b) % rise == 0 for a, b in zip(h, h_ref))
-    return tuple((a - b) // rise for a, b in zip(h, h_ref))
-
-
-def _extremal_height(cut_a: Cut, cut_b: Cut, pick) -> HeightFunction:
-    quiver = cut_a.quiver
-    if type_of(cut_a) != type_of(cut_b):
-        raise ValueError("meet and join require cuts of the same type")
-    h_a = height_from_cut(quiver, cut_a)
-    h_b = height_from_cut(quiver, cut_b)
-    assert h_a.l1_values == h_b.l1_values
-    return HeightFunction(
-        embedding=quiver.embedding,
-        values=tuple(map(pick, h_a.values, h_b.values)),
-        l1_values=h_a.l1_values,
-    )
+    quiver, _, diff = _pointwise(cut, reference, operator.sub, "relative heights")
+    assert all(d % quiver.m == 0 for d in diff)
+    return tuple(d // quiver.m for d in diff)
 
 
 def meet(cut_a: Cut, cut_b: Cut) -> Cut:
     """Cut of the pointwise minimum of the two height functions."""
-    return cut_from_height(cut_a.quiver, _extremal_height(cut_a, cut_b, min))
+    quiver, cut_type, low = _pointwise(cut_a, cut_b, min, "meet and join")
+    return Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, low))
 
 
 def join(cut_a: Cut, cut_b: Cut) -> Cut:
     """Cut of the pointwise maximum of the two height functions."""
-    return cut_from_height(cut_a.quiver, _extremal_height(cut_a, cut_b, max))
+    quiver, cut_type, high = _pointwise(cut_a, cut_b, max, "meet and join")
+    return Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, high))
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,16 +546,16 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
       1 - (n+1) times an integer, lies in [-n, 1]: it is +1 or -n.
 
     D comes from one Dijkstra pass over the quotient quiver.  It is the
-    vertex potential from which :mod:`mckaycuts.heights` builds every
-    height function, h* = (<x, w> + (n+1) D(x)) / m with w_i = m -
-    (n+1) g_i.  The result is still certified to be a height function of
-    the requested type, and a failure raises SearchBoundExceededError.
+    vertex potential of h*, h* = (<x, w> + (n+1) D(x)) / m with w_i = m -
+    (n+1) g_i, so the cut is read off D by the step check of
+    :mod:`mckaycuts.heights`, which certifies that D is the potential of
+    a height function of the requested type; a failure raises
+    SearchBoundExceededError.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     dist = _distances([tuple(zip(row, cut_type)) for row in quiver.targets])
-    height = _heights(quiver.embedding, cut_type, dist)
     try:
-        cut = cut_from_height(quiver, height)
+        cut = Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, dist))
     except ValueError as exc:
         raise SearchBoundExceededError(
             f"candidate maximum failed certification ({exc})"

@@ -49,6 +49,11 @@ class TestHeightFromCut:
             height_from_cut(quiver, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(NotACutError):
             height_from_cut(quiver, frozenset({(0, 1)}))
+        # Six arrows of counts (2, 2, 2), which is not a cut type of 1/6(1,2,3).
+        quiver = instance("sixth_123")[2]
+        inadmissible = {(v, t) for v in (0, 1) for t in (1, 2, 3)}
+        with pytest.raises(NotACutError, match="divisibility"):
+            height_from_cut(quiver, frozenset(inadmissible))
 
     def test_rejects_every_non_cut_of_an_admissible_type(self):
         # Right arrow count and an admissible type, so only the step check

@@ -230,6 +230,14 @@ class TestRelativeHeightAndMeetJoin:
         with pytest.raises(ValueError, match="same type"):
             relative_height_vector(a, b)
 
+    def test_cuts_of_different_quivers_rejected(self):
+        # Both groups have the type (2, 2, 2), so only the quiver differs.
+        a = construct_cut(cyclic_quiver(6, (1, 1, 4)), (2, 2, 2))
+        b = construct_cut(cyclic_quiver(6, (1, 4, 1)), (2, 2, 2))
+        for combine in (meet, join, relative_height_vector):
+            with pytest.raises(ValueError, match="same quiver"):
+                combine(a, b)
+
     def test_meet_join_are_componentwise_min_max(self):
         for _, quiver, cut_type in lattice_instances():
             lattice = enumerate_cut_lattice(quiver, cut_type)
@@ -454,10 +462,10 @@ class TestMaxViaP:
         assert cut.arrows == {(v, 1) for v in range(emb.m)}
 
     def test_failed_certification_raises(self, monkeypatch):
-        def refuse(quiver, height):
+        def refuse(quiver, cut_type, potential):
             raise ValueError("not a height function")
 
-        monkeypatch.setattr(mutation, "cut_from_height", refuse)
+        monkeypatch.setattr(mutation, "_cut_steps", refuse)
         _, _, quiver = instance("third_111")
         with pytest.raises(SearchBoundExceededError, match="certification"):
             max_via_p(quiver, (1, 1, 1))
@@ -553,8 +561,8 @@ def cyclic_types_with_zero(draw):
 
 class TestNonpositiveLatticeProperties:
     @settings(max_examples=40, deadline=None)
-    @given(cyclic_types_with_zero())
-    def test_lattice_matches_oracle(self, instance):
+    @given(cyclic_types_with_zero(), st.data())
+    def test_lattice_matches_oracle(self, instance, data):
         quiver, cut_type = instance
         lattice = enumerate_cut_lattice(quiver, cut_type)
         oracle = all_cuts_exhaustive(quiver, cut_type)
@@ -568,6 +576,16 @@ class TestNonpositiveLatticeProperties:
         assert max_via_p(quiver, cut_type) == lattice.cuts[lattice.max_index]
         assert max_element(quiver, cut_type) == lattice.cuts[lattice.max_index]
         assert min_element(quiver, cut_type) == lattice.cuts[lattice.min_index]
+
+        members = st.integers(0, len(vecs) - 1)
+        i, j = data.draw(members), data.draw(members)
+        a, b = lattice.cuts[i], lattice.cuts[j]
+        low, high = (tuple(map(f, vecs[i], vecs[j])) for f in (min, max))
+        assert meet(a, b) == lattice.cuts[vecs.index(low)]
+        assert join(a, b) == lattice.cuts[vecs.index(high)]
+        assert relative_height_vector(a, lattice.cuts[0]) == tuple(
+            x - y for x, y in zip(vecs[i], vecs[0])
+        )
 
 
 class TestHasseTransitiveReduction:
