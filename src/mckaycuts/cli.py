@@ -57,6 +57,11 @@ DEFAULT_BUDGET = 6
 # int() alone would also read "1_1" and non-ASCII digits.
 _TYPE_ENTRY = re.compile(r"[+-]?[0-9]+")
 _COUNT = re.compile(r"[0-9]+")
+# What reading an input or cut file can raise on bad content; json gives
+# up on deeply nested arrays with RecursionError.
+_MALFORMED = (
+    OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError
+)
 
 
 class _CliError(Exception):
@@ -78,7 +83,7 @@ def _load(args) -> tuple:
         if type(n) is int and n > 6:
             raise _CliError(EXIT_SIZE, f"unsupported size: n = {n} (limit: n <= 6)")
         embedding, spec = parse_input(obj)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise _CliError(EXIT_PARSE, f"malformed input: {exc}") from exc
     if embedding.m > args.max_m:
         raise _CliError(
@@ -238,7 +243,7 @@ def _cmd_verify(args) -> int:
             with open(args.cut, encoding="utf-8") as fh:
                 obj = json.load(fh)
             cut_arrows = cut_from_json(build_mckay(embedding), obj)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise _CliError(EXIT_PARSE, f"malformed cut file: {exc}") from exc
     result = run_verification(
         embedding, spec=spec, budget=args.budget, cut_arrows=cut_arrows

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import NonFaithfulSpecError
 from .intlat import (
     LatticeEmbedding,
     Vec,
+    _Value,
     hnf,
     identity_matrix,
     kernel_basis,
@@ -23,18 +23,18 @@ from .intlat import (
 )
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Value):
     order: int
     weights: Vec
+    _fields = _compare = ("order", "weights")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Value):
     """Diagonal generators of an abelian subgroup of SL(n+1)."""
 
     n: int
     generators: tuple[Generator, ...]
+    _fields = _compare = ("n", "generators")
 
     @classmethod
     def make(cls, n: int, generators) -> "GroupSpec":

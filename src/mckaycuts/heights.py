@@ -43,10 +43,9 @@ the walk by ``is_admissible_type``, which needs no L1 values.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from .errors import NotACutError
-from .intlat import LatticeEmbedding, Vec
+from .intlat import LatticeEmbedding, Vec, _Record
 from .quiver import Arrow, Cut, McKayQuiver, check_arrows
 from .typesimplex import is_admissible_type
 
@@ -89,8 +88,7 @@ def _l1_values(embedding: LatticeEmbedding, cut_type: Vec) -> Vec:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HeightFunction:
+class HeightFunction(_Record):
     """An equivariant height function: one value per vertex, plus L1 values.
 
     ``values[v]`` is the height at the canonical representative
@@ -99,8 +97,10 @@ class HeightFunction:
     """
 
     embedding: LatticeEmbedding
-    values: tuple[int, ...] = field(repr=False)
+    values: tuple[int, ...]
     l1_values: tuple[int, ...]
+    _fields = ("embedding", "values", "l1_values")
+    _hidden = ("values",)
 
     def value_at(self, x) -> int:
         """Evaluate at any lattice point via equivariance."""

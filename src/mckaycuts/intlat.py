@@ -10,13 +10,67 @@ determinant, held in a canonical column-style `Hermite normal form
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import SingularMatrixError
 
 Vec = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
+
+
+class _Record:
+    """Base of the package's read-only records, compared by identity.
+
+    A subclass names its fields in ``_fields``; the constructor takes
+    them positionally or by keyword, and afterwards no attribute can be
+    assigned or deleted.  Fields named in ``_hidden`` stay out of the
+    ``repr``.  The fields live in the instance ``__dict__``, so ``vars``,
+    ``copy`` and ``pickle`` see them as on any plain object.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        args += tuple(kwargs.pop(f) for f in fields[len(args) :] if f in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)}"
+            )
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self._fields
+            if name not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Value(_Record):
+    """A record equal to one of its own class with equal ``_compare`` fields."""
+
+    _compare: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def as_matrix(rows) -> Matrix:
@@ -237,8 +291,7 @@ def _solve_upper(h: Matrix, y: Vec) -> Vec | None:
     return tuple(v)
 
 
-@dataclass(frozen=True)
-class LatticeEmbedding:
+class LatticeEmbedding(_Value):
     """A cofinite sublattice L1 of L0 = Z^n with ``[L0 : L1] = m``.
 
     ``bprime`` holds the basis the embedding was built from (columns are
@@ -252,6 +305,7 @@ class LatticeEmbedding:
     bprime: Matrix
     hnf: Matrix
     m: int
+    _fields = _compare = ("n", "bprime", "hnf", "m")
 
     @classmethod
     def from_basis(cls, rows) -> "LatticeEmbedding":

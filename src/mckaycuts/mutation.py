@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cache
 from heapq import heappop, heappush
 from itertools import compress
@@ -55,7 +54,7 @@ from itertools import compress
 from .construct import _arrow_json, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
 from .heights import _cut_potential, _cut_steps, _seed_potential
-from .intlat import Vec
+from .intlat import Vec, _Record
 from .quiver import (
     Cut,
     McKayQuiver,
@@ -133,8 +132,7 @@ def join(cut_a: Cut, cut_b: Cut) -> Cut:
     return Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, high))
 
 
-@dataclass(frozen=True, eq=False)
-class MutationLattice:
+class MutationLattice(_Record):
     """All cuts of one type, ordered by relative height vectors.
 
     ``v_vectors`` are sorted lexicographically, so output is
@@ -160,7 +158,11 @@ class MutationLattice:
     hasse_edges: tuple[tuple[int, int, int], ...]
     max_index: int
     min_index: int
-    bounds: _Bounds = field(repr=False)
+    bounds: _Bounds
+    _fields = (
+        "cut_type", "v_vectors", "hasse_edges", "max_index", "min_index", "bounds"
+    )
+    _hidden = ("bounds",)
 
     @property
     def cuts(self) -> Sequence[Cut]:

@@ -21,11 +21,10 @@ scans them with the one walker ``first_violated_cycle``, and the
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from .errors import NotACutError
-from .intlat import LatticeEmbedding, Vec
+from .intlat import LatticeEmbedding, Vec, _Record, _Value
 
 Arrow = tuple[int, int]
 
@@ -42,11 +41,11 @@ def step_vectors(n: int) -> tuple[Vec, ...]:
     return tuple(steps)
 
 
-@dataclass(frozen=True, eq=False)
-class McKayQuiver:
+class McKayQuiver(_Record):
     embedding: LatticeEmbedding
     vertices: tuple[Vec, ...]
     targets: tuple[tuple[int, ...], ...]
+    _fields = ("embedding", "vertices", "targets")
 
     @property
     def n(self) -> int:
@@ -159,12 +158,13 @@ def first_cut_violation(quiver: McKayQuiver, arrows) -> str | None:
     return _violation(quiver, check_arrows(quiver, arrows))
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(_Value):
     """An arrow set meeting every elementary cycle exactly once."""
 
-    quiver: McKayQuiver = field(compare=False)
-    arrows: frozenset[Arrow] = field(compare=True)
+    quiver: McKayQuiver
+    arrows: frozenset[Arrow]
+    _fields = ("quiver", "arrows")
+    _compare = ("arrows",)
 
     def sorted_arrows(self) -> tuple[Arrow, ...]:
         return tuple(sorted(self.arrows))
@@ -190,12 +190,12 @@ def type_of(cut: Cut) -> Vec:
     return tuple(counts)
 
 
-@dataclass(frozen=True, eq=False)
-class Subquiver:
+class Subquiver(_Record):
     """The quiver with a subset of its arrows, e.g. a cut quiver."""
 
     quiver: McKayQuiver
     arrows: tuple[Arrow, ...]
+    _fields = ("quiver", "arrows")
 
     def out_map(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.quiver.m)]

@@ -11,12 +11,11 @@ for cyclic groups the non-vertex points are the junior elements.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InadmissibleTypeError
 from .groups import GroupSpec
-from .intlat import LatticeEmbedding, Vec
+from .intlat import LatticeEmbedding, Vec, _Value
 
 
 def is_admissible_type(embedding: LatticeEmbedding, cut_type) -> bool:
@@ -53,12 +52,12 @@ def trivial_types(embedding: LatticeEmbedding) -> tuple[Vec, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TypeSimplexReport:
+class TypeSimplexReport(_Value):
     all_types: tuple[Vec, ...]
     positive_types: tuple[Vec, ...]
     vertices: tuple[Vec, ...]
     hollow: bool
+    _fields = _compare = ("all_types", "positive_types", "vertices", "hollow")
 
     def to_json(self) -> dict:
         return {

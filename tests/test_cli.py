@@ -44,6 +44,8 @@ QUARTER_112 = {"n": 2, "generators": [{"order": 4, "weights": [1, 1, 2]}]}
 # 2,100 arrows, 4,500 relation squares and 3.5 MB of `construct` JSON.
 C300 = {"n": 6, "generators": [{"order": 300, "weights": [1, 2, 3, 4, 5, 6, 279]}]}
 C300_TYPE = "1,2,3,4,5,6,279"
+# Nested too deeply for json to decode.
+DEEP_JSON = "[" * 100_000
 C300_CONSTRUCT_SHA256 = (
     "376fd11844c7125cefd8618259946a9872203b02f26be19b05712d5b462e58cb"
 )
@@ -179,12 +181,29 @@ class TestAnalyze:
 
 
 class TestErrorPaths:
-    def test_malformed_json_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        code, _, err = run_cli(capsys, ["--input", str(path), "analyze"])
+    def test_malformed_json_exits_2(self, capsys, tmp_path, monkeypatch):
+        # Deep nesting makes json raise RecursionError, not JSONDecodeError.
+        for text in ("{not json", DEEP_JSON):
+            path = tmp_path / "broken.json"
+            path.write_text(text)
+            code, _, err = run_cli(capsys, ["--input", str(path), "analyze"])
+            assert code == 2
+            assert "malformed input" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(DEEP_JSON))
+        code, _, err = run_cli(capsys, ["analyze"])
         assert code == 2
-        assert "malformed" in err
+        assert "malformed input" in err
+
+    def test_malformed_cut_file_exits_2(self, capsys, write_input, tmp_path):
+        for text in ("{not json", DEEP_JSON):
+            cut = tmp_path / "cut.json"
+            cut.write_text(text)
+            code, out, err = run_cli(
+                capsys, ["--input", write_input(THIRD), "verify", "--cut", str(cut)]
+            )
+            assert code == 2
+            assert out == ""
+            assert "malformed cut file" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["--input", "/nonexistent.json", "analyze"])

@@ -1,12 +1,12 @@
 """The verification harness itself."""
 
-import dataclasses
 import types
 
 import pytest
 
 from mckaycuts import verify
 from mckaycuts.groups import GroupSpec, embedding_from_spec
+from mckaycuts.mutation import MutationLattice
 from mckaycuts.verify import run_verification
 from conftest import instance
 
@@ -57,6 +57,19 @@ def test_valid_cut_file_passes():
     assert "valid cut of type (1, 1)" in check["detail"]
 
 
+def _rebuild(lattice, **changes):
+    """A copy of the lattice, built by its constructor, with some fields changed."""
+    fields = {
+        "cut_type": lattice.cut_type,
+        "v_vectors": lattice.v_vectors,
+        "hasse_edges": lattice.hasse_edges,
+        "max_index": lattice.max_index,
+        "min_index": lattice.min_index,
+        "bounds": lattice.bounds,
+    }
+    return MutationLattice(**{**fields, **changes})
+
+
 def _middle_pair(lattice):
     """Two indices, neither of them an extreme element."""
     ends = (lattice.min_index, lattice.max_index)
@@ -68,7 +81,7 @@ def _swap_vectors(lattice):
     vecs = list(lattice.v_vectors)
     i, j = _middle_pair(lattice)
     vecs[i], vecs[j] = vecs[j], vecs[i]
-    return dataclasses.replace(lattice, v_vectors=tuple(vecs))
+    return _rebuild(lattice, v_vectors=tuple(vecs))
 
 
 def _swap_cuts(lattice):
@@ -81,7 +94,7 @@ def _swap_cuts(lattice):
     swap = {a: b, b: a}
     read_off = lattice.bounds.cut
     bounds = types.SimpleNamespace(cut=lambda v: read_off(swap.get(v, v)))
-    return dataclasses.replace(lattice, bounds=bounds)
+    return _rebuild(lattice, bounds=bounds)
 
 
 def _drop_middle(lattice):
@@ -98,7 +111,7 @@ def _drop_middle(lattice):
     def renumber(i):
         return i - (i > k)
 
-    return dataclasses.replace(
+    return _rebuild(
         lattice,
         v_vectors=lattice.v_vectors[:k] + lattice.v_vectors[k + 1 :],
         hasse_edges=tuple(
@@ -115,15 +128,13 @@ DOCTORS = {
     "none": lambda lat: lat,
     "swap_cuts": _swap_cuts,
     "swap_vectors": _swap_vectors,
-    "drop_edge": lambda lat: dataclasses.replace(
-        lat, hasse_edges=lat.hasse_edges[1:]
-    ),
-    "min_to_max_edge": lambda lat: dataclasses.replace(
+    "drop_edge": lambda lat: _rebuild(lat, hasse_edges=lat.hasse_edges[1:]),
+    "min_to_max_edge": lambda lat: _rebuild(
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 1),)
     ),
     "drop_middle_cut": _drop_middle,
     # The origin is never mutated, so this edge duplicates no real one.
-    "min_to_max_edge_at_origin": lambda lat: dataclasses.replace(
+    "min_to_max_edge_at_origin": lambda lat: _rebuild(
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 0),)
     ),
 }
