@@ -248,15 +248,6 @@ class MutationLattice(_Record):
         return "\n".join(lines) + "\n"
 
 
-def _dominant_index(vectors: tuple[Vec, ...], extreme) -> int:
-    """Index of the componentwise max (or min); a member by lattice closure."""
-    target = tuple(extreme(coords) for coords in zip(*vectors))
-    for i, vec in enumerate(vectors):
-        if vec == target:
-            return i
-    raise AssertionError("cut lattice is not closed under meet/join")
-
-
 class _Bounds:
     """The cuts of one type as difference constraints on v-vectors.
 
@@ -458,12 +449,15 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
             upper[u] += 1
         edges.append((order[lower], order[tuple(upper)], members[0]))
     edges.sort()
+    # The componentwise max (min) of a set closed under max (min) is
+    # above (below) every member, so it is also the lexicographically
+    # last (first) of the sorted vectors.
     return MutationLattice(
         cut_type=cut_type,
         v_vectors=v_vectors,
         hasse_edges=tuple(edges),
-        max_index=_dominant_index(v_vectors, max),
-        min_index=_dominant_index(v_vectors, min),
+        max_index=len(v_vectors) - 1,
+        min_index=0,
         bounds=bounds,
     )
 

@@ -57,6 +57,19 @@ def test_valid_cut_file_passes():
     assert "valid cut of type (1, 1)" in check["detail"]
 
 
+def test_cut_file_accepts_arrows_as_lists():
+    # is_cut and make_cut accept [vertex, type] lists; so does the check.
+    spec, emb, _ = instance("half_11")
+
+    def cut_file_entry(arrows):
+        result = run_verification(emb, spec=spec, cut_arrows=arrows)
+        return next(c for c in result["checks"] if c["name"] == "cut_file")
+
+    entry = cut_file_entry([[1, 1], [1, 2]])
+    assert entry == cut_file_entry([(1, 1), (1, 2)])
+    assert entry["status"] == "pass"
+
+
 def _rebuild(lattice, **changes):
     """A copy of the lattice, built by its constructor, with some fields changed."""
     fields = {
