@@ -6,6 +6,10 @@ Exit codes: 0 ok, 1 verification failures, 2 malformed input, 3
 unsupported size, 4 inadmissible type, 5 an ``extremes`` maximum that
 failed certification (the path bound in ``max_via_p`` says it never does),
 141 stdout closed by its reader before the output was written.
+
+Each subcommand registers its handler, and whether it takes ``--type``,
+in ``build_parser``.  ``main`` reads the input and the type once for
+every handler, and it is the one place where refusals become exit codes.
 """
 
 from __future__ import annotations
@@ -28,13 +32,7 @@ from .construct import (
     cut_to_json,
     degree_zero_presentation,
 )
-from .errors import (
-    InadmissibleTypeError,
-    NonFaithfulSpecError,
-    NotACutError,
-    SearchBoundExceededError,
-    SingularMatrixError,
-)
+from .errors import InadmissibleTypeError, SearchBoundExceededError
 from .groups import parse_input
 from .heights import height_from_cut
 from .mutation import enumerate_cut_lattice, max_element, max_via_p, min_element
@@ -62,6 +60,13 @@ _COUNT = re.compile(r"[0-9]+")
 _MALFORMED = (
     OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError
 )
+
+# The library's refusals that main turns into exit codes; a _CliError
+# carries its own.
+_REFUSALS = {
+    InadmissibleTypeError: EXIT_INADMISSIBLE,
+    SearchBoundExceededError: EXIT_UNSUPPORTED,
+}
 
 
 class _CliError(Exception):
@@ -118,8 +123,7 @@ def _emit(payload) -> None:
         sys.stdout.write(_indented(payload, 0) + "\n")
 
 
-def _cmd_analyze(args) -> int:
-    embedding, _ = _load(args)
+def _cmd_analyze(args, embedding, spec) -> int:
     report = enumerate_types(embedding)
     n, m = embedding.n, embedding.m
     # The quiver's counts follow from n and m, so it is not built.
@@ -142,25 +146,14 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_types(args) -> int:
-    embedding, _ = _load(args)
+def _cmd_types(args, embedding, spec) -> int:
     _emit(enumerate_types(embedding).to_json())
     return EXIT_OK
 
 
-def _require_type(args, embedding):
-    cut_type = _parse_type(args.type, embedding.n)
-    try:
-        return require_admissible(embedding, cut_type)
-    except InadmissibleTypeError as exc:
-        raise _CliError(EXIT_INADMISSIBLE, str(exc)) from exc
-
-
-def _cmd_construct(args) -> int:
-    embedding, _ = _load(args)
-    cut_type = _require_type(args, embedding)
+def _cmd_construct(args, embedding, spec) -> int:
     quiver = build_mckay(embedding)
-    cut = construct_cut(quiver, cut_type)
+    cut = construct_cut(quiver, args.cut_type)
     if args.format == "dot":
         _emit(quiver_to_dot(quiver, cut))
     else:
@@ -200,10 +193,8 @@ def _construct_chunks(quiver, cut):
     yield '\n  },\n  "acyclic": ' + _indented(is_acyclic(sub), 1) + "\n}\n"
 
 
-def _cmd_lattice(args) -> int:
-    embedding, _ = _load(args)
-    quiver = build_mckay(embedding)
-    lattice = enumerate_cut_lattice(quiver, _require_type(args, embedding))
+def _cmd_lattice(args, embedding, spec) -> int:
+    lattice = enumerate_cut_lattice(build_mckay(embedding), args.cut_type)
     if args.format == "dot":
         _emit(lattice.hasse_dot())
     else:
@@ -211,16 +202,12 @@ def _cmd_lattice(args) -> int:
     return EXIT_OK
 
 
-def _cmd_extremes(args) -> int:
-    embedding, _ = _load(args)
-    cut_type = _require_type(args, embedding)
+def _cmd_extremes(args, embedding, spec) -> int:
+    cut_type = args.cut_type
     quiver = build_mckay(embedding)
     maximum = max_element(quiver, cut_type)
     minimum = min_element(quiver, cut_type)
-    try:
-        via_p = max_via_p(quiver, cut_type)
-    except SearchBoundExceededError as exc:
-        raise _CliError(EXIT_UNSUPPORTED, str(exc)) from exc
+    via_p = max_via_p(quiver, cut_type)
     # The "greedy" keys name the seed-constraint extremes; the names are
     # kept so the output format is unchanged.
     _emit(
@@ -235,8 +222,7 @@ def _cmd_extremes(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    embedding, spec = _load(args)
+def _cmd_verify(args, embedding, spec) -> int:
     cut_arrows = None
     if args.cut is not None:
         try:
@@ -252,17 +238,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if result["passed"] else EXIT_VERIFY_FAILED
 
 
-def _cmd_export_dot(args) -> int:
-    if args.what == "quiver":
-        embedding, _ = _load(args)
-        _emit(quiver_to_dot(build_mckay(embedding)))
-        return EXIT_OK
-    if args.type is None:
-        raise _CliError(EXIT_PARSE, f"export-dot {args.what} requires --type")
-    # The cut and the Hasse diagram are the DOT formats of construct and
-    # lattice, which read the input themselves.
-    args.format = "dot"
-    return (_cmd_construct if args.what == "cut" else _cmd_lattice)(args)
+def _cmd_export_dot(args, embedding, spec) -> int:
+    _emit(quiver_to_dot(build_mckay(embedding)))
+    return EXIT_OK
 
 
 def _nonnegative(text: str) -> int:
@@ -291,58 +269,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("analyze", help="embedding, quiver summary, and type simplex")
-    sub.add_parser("types", help="the type simplex report")
+    def command(name, handler, summary, typed=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, typed=typed)
+        return p
 
-    p_construct = sub.add_parser("construct", help="construct a cut of a given type")
+    command("analyze", _cmd_analyze, "embedding, quiver summary, and type simplex")
+    command("types", _cmd_types, "the type simplex report")
+
+    p_construct = command(
+        "construct", _cmd_construct, "construct a cut of a given type", typed=True
+    )
     p_construct.add_argument("--type", required=True, help='type vector, e.g. "1,1,1"')
     p_construct.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p_lattice = sub.add_parser("lattice", help="the mutation lattice of a type")
+    p_lattice = command(
+        "lattice", _cmd_lattice, "the mutation lattice of a type", typed=True
+    )
     p_lattice.add_argument("--type", required=True)
     p_lattice.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p_extremes = sub.add_parser("extremes", help="maximal and minimal cuts")
+    p_extremes = command(
+        "extremes", _cmd_extremes, "maximal and minimal cuts", typed=True
+    )
     p_extremes.add_argument("--type", required=True)
 
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
+    p_verify = command("verify", _cmd_verify, "run the invariant suite")
     p_verify.add_argument("--budget", type=_nonnegative, default=DEFAULT_BUDGET)
     p_verify.add_argument("--cut", help="optional cut JSON file to validate")
 
-    p_dot = sub.add_parser("export-dot", help="DOT output for graphviz")
+    p_dot = command("export-dot", _cmd_export_dot, "DOT output for graphviz")
     p_dot.add_argument("what", choices=("quiver", "cut", "hasse"))
     p_dot.add_argument("--type")
 
     return parser
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "types": _cmd_types,
-    "construct": _cmd_construct,
-    "lattice": _cmd_lattice,
-    "extremes": _cmd_extremes,
-    "verify": _cmd_verify,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        if args.command == "export-dot" and args.what != "quiver":
+            if args.type is None:
+                raise _CliError(EXIT_PARSE, f"export-dot {args.what} requires --type")
+            # The cut and the Hasse diagram are the DOT formats of
+            # construct and lattice.
+            args.handler = _cmd_construct if args.what == "cut" else _cmd_lattice
+            args.typed, args.format = True, "dot"
+        embedding, spec = _load(args)
+        if args.typed:
+            cut_type = _parse_type(args.type, embedding.n)
+            args.cut_type = require_admissible(embedding, cut_type)
+        code = args.handler(args, embedding, spec)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
-    except _CliError as exc:
+    except (_CliError, *_REFUSALS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (
-        NonFaithfulSpecError,
-        SingularMatrixError,
-        NotACutError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return exc.code if isinstance(exc, _CliError) else _REFUSALS[type(exc)]
     except BrokenPipeError:
         # The reader went away (say, ``| head``).  As in the SIGPIPE note
         # of the Python docs, point stdout at devnull so that the final

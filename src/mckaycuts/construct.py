@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 
-from .groups import _json_int
+from .groups import _json_int, _json_list
 from .heights import _cut_steps, _seed_potential
 from .intlat import LatticeEmbedding
 from .quiver import Cut, McKayQuiver, Subquiver, cut_quiver, type_of
@@ -137,11 +137,12 @@ def cut_to_json(cut: Cut) -> dict:
 def cut_from_json(quiver: McKayQuiver, obj: dict) -> frozenset[tuple[int, int]]:
     """Arrow set from the cut JSON format (not validated as a cut).
 
-    Every ``source`` entry and ``arrow_type`` must be a JSON integer;
-    anything else is refused with ``ValueError``.
+    ``arrows`` must be a JSON array, and every ``source`` entry and
+    ``arrow_type`` a JSON integer; anything else is refused with
+    ``ValueError``.
     """
     arrows = set()
-    for entry in obj["arrows"]:
+    for entry in _json_list(obj["arrows"], "arrows"):
         source = tuple(_json_int(c, "source") for c in entry["source"])
         arrow_type = _json_int(entry["arrow_type"], "arrow_type")
         arrows.add((quiver.embedding.vertex(source), arrow_type))

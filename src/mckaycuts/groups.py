@@ -106,13 +106,21 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_list(value, field: str) -> list:
+    """A JSON array, refusing an object, which would iterate as its keys."""
+    if type(value) is not list:
+        raise ValueError(f'"{field}" must be a JSON array')
+    return value
+
+
 def parse_input(obj: dict) -> tuple[LatticeEmbedding, GroupSpec | None]:
     """Load an embedding from the JSON input schema.
 
     Accepts either ``{"n": int, "generators": [{"order": int,
     "weights": [int, ...]}, ...]}`` or the direct form ``{"n": int,
     "bprime": [[int, ...], ...]}``.  Every number must be a JSON
-    integer; ``2.7`` or ``true`` is refused with ``ValueError``.
+    integer; ``2.7`` or ``true`` is refused with ``ValueError``, and so
+    is an object in place of the ``generators`` array.
     """
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
@@ -131,7 +139,7 @@ def parse_input(obj: dict) -> tuple[LatticeEmbedding, GroupSpec | None]:
             _json_int(entry["order"], "order"),
             [_json_int(w, "weights") for w in entry["weights"]],
         )
-        for entry in obj["generators"]
+        for entry in _json_list(obj["generators"], "generators")
     ]
     spec = GroupSpec.make(n, gens)
     return embedding_from_spec(spec), spec

@@ -18,13 +18,13 @@ with ``w_i = m - (n+1) * gamma_i`` for the first n entries,
 where g is an integer potential on the m vertices with g(0) = 0.  Along
 an arrow of type t, g steps by gamma_t if the arrow is uncut and by
 gamma_t - m if it is cut, which is a step of h by +1 or -n.  Cut ->
-potential assigns g breadth-first (``_cut_potential``), and
-``height_from_cut`` applies the formula to it; height -> cut recovers
-gamma from the L1 values and g from the heights.  Both read the cut off
-one step check of g, ``_cut_steps``.  The cut-level API of
-:mod:`mckaycuts.mutation` works on g alone and builds no height
-function: ``max_via_p`` hands its shortest-path distances, which are g,
-straight to the step check, and ``meet``, ``join`` and
+potential assigns g breadth-first and checks each arrow as it goes
+(``_cut_potential``), and ``height_from_cut`` applies the formula to it;
+height -> cut recovers gamma from the L1 values and g from the heights,
+and reads the cut off the step check of g, ``_cut_steps``.  The
+cut-level API of :mod:`mckaycuts.mutation` works on g alone and builds
+no height function: ``max_via_p`` hands its shortest-path distances,
+which are g, straight to the step check, and ``meet``, ``join`` and
 ``relative_height_vector`` take the pointwise min, max and difference
 of two cuts' potentials.  The seed cut is the cut of the potential
 ``xi(v) = <x_v, gamma'> mod m``, gamma' being the first n entries:
@@ -171,10 +171,11 @@ def _cut_steps(quiver: McKayQuiver, cut_type: Vec, potential) -> frozenset[Arrow
 def _cut_potential(quiver: McKayQuiver, cut) -> tuple[Vec, list[int]]:
     """The type of a cut and its vertex potential g, with g(0) = 0.
 
-    Works on the quotient: breadth-first assignment of g along
-    out-arrows, then the step check of every arrow: g must step by
-    ``type_t - m`` exactly along the given arrows.  Any failure (unknown
-    arrow, wrong arrow count, type failing divisibility, or two paths
+    Works on the quotient: one breadth-first pass along out-arrows, in
+    which g steps by ``type_t - m`` along the given arrows and by
+    ``type_t`` along the others.  Each arrow either assigns the potential
+    of its target or is checked against it.  Any failure (unknown arrow,
+    wrong arrow count, type failing divisibility, or two paths
     disagreeing) means the input is not a cut, and raises NotACutError.
     """
     arrows = cut.arrows if isinstance(cut, Cut) else check_arrows(quiver, cut)
@@ -202,19 +203,13 @@ def _cut_potential(quiver: McKayQuiver, cut) -> tuple[Vec, list[int]]:
     for v in order:
         base = potential[v]
         for t, w, g in zip(types, targets[v], cut_type):
+            step = base + g - m * ((v, t) in arrows)
             if potential[w] is None:
-                potential[w] = base + g - m * ((v, t) in arrows)
+                potential[w] = step
                 order.append(w)
+            elif potential[w] != step:
+                raise NotACutError(f"inconsistent height increment at arrow {(v, t)}")
     assert len(order) == m, "quotient Cayley graph must be connected"
-    try:
-        consistent = _cut_steps(quiver, cut_type, potential) == arrows
-    except ValueError as exc:
-        raise NotACutError(str(exc)) from exc
-    if not consistent:
-        raise NotACutError(
-            "height increments are inconsistent: the heights do not drop "
-            "exactly along the given arrows, so the arrow set is not a cut"
-        )
     return cut_type, potential
 
 

@@ -251,6 +251,45 @@ class TestErrorPaths:
         assert out == ""
         assert "malformed cut file" in err
 
+    def test_object_in_place_of_an_array_exits_2(self, capsys, write_input):
+        # Read as the trivial group and as an empty cut, these exited 0 and 1.
+        group = write_input({"n": 2, "generators": {}})
+        code, out, err = run_cli(capsys, ["--input", group, "types"])
+        assert (code, out) == (2, "")
+        assert "malformed input" in err
+        cut = write_input({"type": [1, 1, 1], "arrows": {}}, name="cut.json")
+        code, out, err = run_cli(
+            capsys, ["--input", write_input(THIRD), "verify", "--cut", cut]
+        )
+        assert (code, out) == (2, "")
+        assert "malformed cut file" in err
+
+    @pytest.mark.parametrize(
+        "group, argv, code, text",
+        [
+            ("{not json", ["construct", "--type", "a,b,c"], 2, "malformed input"),
+            (THIRD, ["--max-m", "1", "lattice", "--type", "a,b,c"], 3, "m = 3"),
+            (None, ["export-dot", "hasse"], 2, "requires --type"),
+            (THIRD, ["export-dot", "quiver", "--type", "junk"], 0, "digraph mckay"),
+            (THIRD, ["export-dot", "cut", "--type", "2,1,0"], 4, "not the type"),
+        ],
+        ids=[
+            "input_before_type",
+            "size_before_type",
+            "missing_type_before_input",
+            "quiver_ignores_type",
+            "export_cut_inadmissible",
+        ],
+    )
+    def test_refusal_order(self, capsys, tmp_path, group, argv, code, text):
+        path = tmp_path / "group.json"  # None leaves the input unreadable
+        if group is not None:
+            path.write_text(group if isinstance(group, str) else json.dumps(group))
+        got, out, err = run_cli(capsys, ["--input", str(path), *argv])
+        assert got == code
+        assert text in (out if code == 0 else err)
+        assert code == 0 or out == ""
+
     def test_oversized_exits_3(self, capsys, write_input):
         big = {"n": 1, "generators": [{"order": 9, "weights": [1, 8]}]}
         code, _, err = run_cli(

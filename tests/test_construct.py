@@ -200,6 +200,15 @@ class TestCutJson:
         arrows = cut_from_json(quiver, payload)
         assert arrows == cut.arrows
 
+    @pytest.mark.parametrize(
+        "arrows", [{}, {"x": 1}, "abc"], ids=["empty_object", "object", "string"]
+    )
+    def test_arrows_must_be_an_array(self, arrows):
+        # An empty object used to read as the empty arrow set.
+        _, _, quiver = instance("sixth_123")
+        with pytest.raises(ValueError, match="JSON array"):
+            cut_from_json(quiver, {"type": [1, 2, 3], "arrows": arrows})
+
 
 def dumped(obj, depth):
     """``json.dumps(obj, indent=2)`` re-indented to sit ``depth`` levels deep."""

@@ -156,3 +156,11 @@ class TestParseInput:
             parse_input({"n": 2})
         with pytest.raises(ValueError):
             parse_input([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "generators", [{}, {"x": 1}, "abc", 3], ids=["empty_object", "object", "string", "number"]
+    )
+    def test_generators_must_be_an_array(self, generators):
+        # An empty object used to read as "no generators", the trivial group.
+        with pytest.raises(ValueError, match="JSON array"):
+            parse_input({"n": 2, "generators": generators})
