@@ -120,20 +120,21 @@ def parse_input(obj: dict) -> tuple[LatticeEmbedding, GroupSpec | None]:
     "weights": [int, ...]}, ...]}`` or the direct form ``{"n": int,
     "bprime": [[int, ...], ...]}``.  Every number must be a JSON
     integer; ``2.7`` or ``true`` is refused with ``ValueError``, and so
-    is an object in place of the ``generators`` array.
+    are an object in place of the ``generators`` array and an input that
+    gives both fields.
     """
     if not isinstance(obj, dict):
         raise ValueError("input must be a JSON object")
     if "n" not in obj:
         raise ValueError('input is missing the "n" field')
     n = _json_int(obj["n"], "n")
+    if ("bprime" in obj) == ("generators" in obj):
+        raise ValueError('input needs exactly one of "generators" and "bprime"')
     if "bprime" in obj:
         mat = [[_json_int(x, "bprime") for x in row] for row in obj["bprime"]]
         if len(mat) != n:
             raise ValueError('"bprime" must be an n x n matrix')
         return LatticeEmbedding.from_basis(mat), None
-    if "generators" not in obj:
-        raise ValueError('input needs either "generators" or "bprime"')
     gens = [
         (
             _json_int(entry["order"], "order"),

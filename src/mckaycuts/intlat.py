@@ -5,12 +5,24 @@ exact at any size.  The central object is :class:`LatticeEmbedding`: a
 cofinite sublattice of Z^n given by a basis matrix with positive
 determinant, held in a canonical column-style `Hermite normal form
 <https://en.wikipedia.org/wiki/Hermite_normal_form>`_.
+
+Both normal forms are sequences of one unimodular 2 x 2 Euclid step on
+two rows or two columns, which turns the pair (a, b) in one coordinate
+into (gcd(a, b), 0) and moves the transform with the matrix.  ``hnf``
+gathers each row's gcd into its diagonal column and then reduces the
+columns to its right; ``snf`` clears row t and column t in turn until
+the pivot divides the rest.  Euclid runs from (b, a), so a positive
+pivot that already divides its partner stays where it is: run from
+(a, b), the step swaps two equal entries, and ``snf`` would trade the
+same pivot back and forth forever.  Determinants stay with Bareiss
+elimination, which bounds entry growth where Euclid steps do not.
 """
 
 from __future__ import annotations
 
 import operator
 from itertools import product
+from math import gcd
 
 from .errors import SingularMatrixError
 
@@ -131,6 +143,26 @@ def _from_columns(cols: list[list[int]]) -> Matrix:
     return tuple(tuple(row) for row in zip(*cols))
 
 
+def _euclid_step(vecs, i: int, j: int, k: int) -> None:
+    """Turn coordinate k of vectors i and j, (a, b) with b != 0, into (g, 0).
+
+    With g = gcd(a, b) = x a + y b, vector i becomes x v_i + y v_j and
+    vector j becomes (b/g) v_i - (a/g) v_j, a step of determinant -1,
+    applied alike in every list of ``vecs``.  Euclid runs from (b, a),
+    so when a > 0 divides b, x = 1, y = 0 and v_i is left as it is.
+    """
+    a, b = vecs[0][i][k], vecs[0][j][k]
+    r0, x0, y0, r1, x1, y1 = b, 0, 1, a, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, x0, y0, r1, x1, y1 = r1, x1, y1, r0 - q * r1, x0 - q * x1, y0 - q * y1
+    g, x, y = (r0, x0, y0) if r0 > 0 else (-r0, -x0, -y0)
+    for vec in vecs:
+        vi, vj = vec[i], vec[j]
+        vec[i] = [x * s + y * t for s, t in zip(vi, vj)]
+        vec[j] = [(b * s - a * t) // g for s, t in zip(vi, vj)]
+
+
 def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     """Column-style Hermite normal form of a nonsingular square matrix.
 
@@ -143,42 +175,22 @@ def hnf(m: Matrix) -> tuple[Matrix, Matrix]:
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("hnf requires a square matrix")
-    cols = _columns(m)
-    ucols = _columns(identity_matrix(n))
-
-    def combine(dst: int, src: int, q: int) -> None:
-        for vec in (cols, ucols):
-            vec[dst] = [a - q * b for a, b in zip(vec[dst], vec[src])]
-
-    def swap(i: int, j: int) -> None:
-        cols[i], cols[j] = cols[j], cols[i]
-        ucols[i], ucols[j] = ucols[j], ucols[i]
-
-    def negate(i: int) -> None:
-        cols[i] = [-a for a in cols[i]]
-        ucols[i] = [-a for a in ucols[i]]
-
+    vecs = cols, ucols = _columns(m), _columns(identity_matrix(n))
     for row in range(n - 1, -1, -1):
         # Gather the gcd of row entries over columns 0..row into column `row`.
-        while True:
-            nonzero = [j for j in range(row + 1) if cols[j][row] != 0]
-            if not nonzero:
-                raise SingularMatrixError("matrix has no Hermite normal form")
-            if nonzero == [row]:
-                break
-            j0 = min(nonzero, key=lambda j: abs(cols[j][row]))
-            if cols[j0][row] < 0:
-                negate(j0)
-            for j in nonzero:
-                if j != j0:
-                    combine(j, j0, cols[j][row] // cols[j0][row])
-            if all(cols[j][row] == 0 for j in range(row + 1) if j != j0):
-                if j0 != row:
-                    swap(j0, row)
-        if cols[row][row] < 0:
-            negate(row)
+        for j in range(row):
+            if cols[j][row]:
+                _euclid_step(vecs, row, j, row)
+        d = cols[row][row]
+        if d == 0:
+            raise SingularMatrixError("matrix has no Hermite normal form")
+        if d < 0:
+            for vec in vecs:
+                vec[row] = [-x for x in vec[row]]
         for j in range(row + 1, n):
-            combine(j, row, cols[j][row] // cols[row][row])
+            q = cols[j][row] // cols[row][row]
+            for vec in vecs:
+                vec[j] = [x - q * y for x, y in zip(vec[j], vec[row])]
     return _from_columns(cols), _from_columns(ucols)
 
 
@@ -192,74 +204,36 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
     u = [list(row) for row in identity_matrix(rows)]
-    v_cols = _columns(identity_matrix(cols)) if cols else []
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_sub(i: int, j: int, q: int) -> None:
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        v_cols[i] = [x - q * y for x, y in zip(v_cols[i], v_cols[j])]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
-
-    t = 0
-    while t < min(rows, cols):
-        pivots = [
-            (i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j] != 0
-        ]
-        if not pivots:
-            break
-        i0, j0 = min(pivots, key=lambda ij: abs(a[ij[0]][ij[1]]))
-        if i0 != t:
-            row_swap(i0, t)
-        if j0 != t:
-            col_swap(j0, t)
+    v_cols = _columns(identity_matrix(cols))
+    for t in range(min(rows, cols)):
         while True:
-            # Clear column t with row operations.
-            for i in range(t + 1, rows):
-                while a[i][t] != 0:
-                    if abs(a[i][t]) < abs(a[t][t]):
-                        row_swap(i, t)
-                    row_sub(i, t, a[i][t] // a[t][t])
-            # Clear row t with column operations; may disturb the column.
+            # Clear row t with column steps, then column t with row steps,
+            # which may disturb the row again.
+            a_cols = _columns(a)
             for j in range(t + 1, cols):
-                while a[t][j] != 0:
-                    if abs(a[t][j]) < abs(a[t][t]):
-                        col_swap(j, t)
-                    col_sub(j, t, a[t][j] // a[t][t])
-            if all(a[i][t] == 0 for i in range(t + 1, rows)):
-                bad = next(
-                    (
-                        (i, j)
-                        for i in range(t + 1, rows)
-                        for j in range(t + 1, cols)
-                        if a[i][j] % a[t][t] != 0
-                    ),
-                    None,
-                )
-                if bad is None:
+                if a_cols[j][t]:
+                    _euclid_step((a_cols, v_cols), t, j, t)
+            a = _columns(a_cols)
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    _euclid_step((a, u), t, i, t)
+            if any(a[t][t + 1 :]):
+                continue
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                # p divides x exactly when gcd(p, x) == |p|, also for p == 0.
+                if any(gcd(p, x) != abs(p) for x in a[i][t + 1 :]):
                     break
-                # Pull a non-divisible entry into row t to shrink the pivot.
-                row_sub(t, bad[0], -1)
+            else:
+                break
+            # Pull a non-divisible entry into row t to shrink the pivot.
+            for vec in (a, u):
+                vec[t] = [x + y for x, y in zip(vec[t], vec[i])]
         if a[t][t] < 0:
-            row_negate(t)
-        t += 1
+            for vec in (a, u):
+                vec[t] = [-x for x in vec[t]]
     s = tuple(tuple(row) for row in a)
-    return s, tuple(tuple(row) for row in u), _from_columns(v_cols) if cols else ()
+    return s, tuple(tuple(row) for row in u), _from_columns(v_cols)
 
 
 def kernel_basis(m: Matrix) -> list[Vec]:

@@ -40,8 +40,9 @@ from the walk that produced the lattice, must hold for every vector;
 every feasible unit step a +- e_x of a member must be a member, and
 every feasible a + e_x a Hasse edge.  The origin-source check reads
 the edges too: only the maximum may lack an edge up, so one cut quiver
-is built per type.  Per type: |L| + 1 height functions and
-O(|L| m (n+1)) integer operations.
+is built per type.  Per type: 2|L| cut potentials (each relative
+height reads the cut's and the first cut's) and O(|L| m (n+1)) integer
+operations.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .mutation import (
     max_via_p,
     min_element,
     mutable_vertices,
+    relative_height_vector,
 )
 from .quiver import (
     Cut,
@@ -230,7 +232,6 @@ def _junior_correspondence(
 
 def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
     """The lattice of one positive type; ``oracle_cuts`` is None over budget."""
-    n = quiver.n
     lattice = enumerate_cut_lattice(quiver, cut_type)
     cuts, vecs = lattice.cuts, lattice.v_vectors
     details = [f"{len(cuts)} cuts"]
@@ -239,13 +240,10 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         details.append("matches subset oracle")
     # Each access to ``cuts`` builds a cut, so read these two once.
     first, top = cuts[0], cuts[lattice.max_index]
-    reference = height_from_cut(quiver, first).values
     for cut, vec in zip(cuts, vecs):
         assert type_of(cut) == cut_type
-        values = height_from_cut(quiver, cut).values
-        assert all(
-            h - r == (n + 1) * (v - v0)
-            for h, r, v, v0 in zip(values, reference, vec, vecs[0])
+        assert relative_height_vector(cut, first) == tuple(
+            map(operator.sub, vec, vecs[0])
         )
     index = {vec: i for i, vec in enumerate(vecs)}
     assert len(index) == len(vecs)

@@ -272,6 +272,12 @@ class TestErrorPaths:
             (None, ["export-dot", "hasse"], 2, "requires --type"),
             (THIRD, ["export-dot", "quiver", "--type", "junk"], 0, "digraph mckay"),
             (THIRD, ["export-dot", "cut", "--type", "2,1,0"], 4, "not the type"),
+            (
+                {"n": 1, "bprime": [[2]], "generators": {}},
+                ["types"],
+                2,
+                "malformed input",
+            ),
         ],
         ids=[
             "input_before_type",
@@ -279,6 +285,7 @@ class TestErrorPaths:
             "missing_type_before_input",
             "quiver_ignores_type",
             "export_cut_inadmissible",
+            "bprime_and_generators",
         ],
     )
     def test_refusal_order(self, capsys, tmp_path, group, argv, code, text):

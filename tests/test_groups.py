@@ -5,6 +5,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckaycuts.errors import NonFaithfulSpecError
 from mckaycuts.groups import GroupSpec, embedding_from_spec, group_order, parse_input
@@ -18,14 +20,29 @@ def brute_kernel_basis(n, generators, box=8):
     candidate basis generates them all.
     """
     points = [
-        p
-        for p in product(range(-box, box + 1), repeat=n)
-        if all(
-            sum(w * c for w, c in zip(weights[:n], p)) % order == 0
-            for order, weights in generators
-        )
+        p for p in product(range(-box, box + 1), repeat=n) if killed(generators, p)
     ]
     return points
+
+
+def killed(generators, p):
+    """Whether every generator acts trivially on the n-vector p."""
+    return all(
+        sum(w * c for w, c in zip(weights, p)) % order == 0
+        for order, weights in generators
+    )
+
+
+@st.composite
+def specs(draw):
+    """(n, generators) with n <= 3 and 1-3 generators of order <= 6."""
+    n = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        order = draw(st.integers(1, 6))
+        head = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+        gens.append((order, (*head, -sum(head) % order)))
+    return n, gens
 
 
 class TestEmbeddingFromSpec:
@@ -114,6 +131,25 @@ class TestEmbeddingFromSpec:
         emb2 = embedding_from_spec(GroupSpec.make(2, [b, a]))
         assert emb1 == emb2
 
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_random_specs_match_the_brute_force_kernel(self, drawn):
+        # L Z^n lies in the kernel K for L the lcm of the orders, so K
+        # has L^n / [Z^n : K] points in the box [0, L)^n.
+        n, generators = drawn
+        box = math.lcm(*(order for order, _ in generators))
+        count = sum(killed(generators, p) for p in product(range(box), repeat=n))
+        index = box**n // count
+        spec = GroupSpec.make(n, generators)
+        if index != math.prod(order for order, _ in generators):
+            with pytest.raises(NonFaithfulSpecError):
+                embedding_from_spec(spec)
+            return
+        emb = embedding_from_spec(spec)
+        assert emb.m == index
+        # n columns in K spanning a sublattice of index m span all of K.
+        assert all(killed(generators, col) for col in zip(*emb.hnf))
+
     def test_coprime_power_keeps_embedding(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -156,6 +192,14 @@ class TestParseInput:
             parse_input({"n": 2})
         with pytest.raises(ValueError):
             parse_input([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "generators", [{}, [{"order": 2, "weights": [1, 1]}]], ids=["malformed", "valid"]
+    )
+    def test_bprime_and_generators_together_rejected(self, generators):
+        # bprime used to win, with the generators never read.
+        with pytest.raises(ValueError, match="exactly one"):
+            parse_input({"n": 1, "bprime": [[2]], "generators": generators})
 
     @pytest.mark.parametrize(
         "generators", [{}, {"x": 1}, "abc", 3], ids=["empty_object", "object", "string", "number"]

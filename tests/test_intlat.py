@@ -1,7 +1,9 @@
 """Exact linear algebra: normal forms, coset reduction, membership, orders."""
 
+import math
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mckaycuts.errors import SingularMatrixError
@@ -46,19 +48,27 @@ class TestHnf:
         assert u == identity_matrix(2)
 
     def test_transform_is_unimodular(self):
-        mat = as_matrix([(4, 1, 0), (-2, 3, 5), (7, 0, 2)])
-        h, u = hnf(mat)
-        assert mat_mul(mat, u) == h
-        assert abs(det(u)) == 1
-        assert h[0][0] * h[1][1] * h[2][2] == abs(det(mat))
-        # canonical shape
-        for i in range(3):
-            assert h[i][i] > 0
-            for j in range(3):
-                if j < i:
-                    assert h[i][j] == 0
-                else:
-                    assert 0 <= h[i][j] < h[i][i] or j == i
+        for rows in [
+            [(4, 1, 0), (-2, 3, 5), (7, 0, 2)],
+            [(1, 5), (3, 3)],  # equal pivots in the last row
+            [(1, 5), (6, 3)],  # the pivot 3 divides its partner 6
+            [(0, 1), (1, 0)],  # zero pivot
+            [(-2, 1), (0, -3)],  # negative diagonal
+        ]:
+            mat = as_matrix(rows)
+            n = len(mat)
+            h, u = hnf(mat)
+            assert mat_mul(mat, u) == h
+            assert abs(det(u)) == 1
+            assert math.prod(h[i][i] for i in range(n)) == abs(det(mat))
+            # canonical shape
+            for i in range(n):
+                assert h[i][i] > 0
+                for j in range(n):
+                    if j < i:
+                        assert h[i][j] == 0
+                    else:
+                        assert 0 <= h[i][j] < h[i][i] or j == i
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
@@ -114,14 +124,23 @@ class TestSnf:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(1, 3),
-        st.integers(1, 4),
-        st.randoms(use_true_random=False),
-    )
-    def test_snf_properties(self, rows, cols, rng):
-        mat = tuple(
-            tuple(rng.randint(-5, 5) for _ in range(cols)) for _ in range(rows)
+        st.integers(1, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-5, 5), min_size=cols, max_size=cols),
+                min_size=1,
+                max_size=3,
+            )
         )
+    )
+    # Loops forever if Euclid runs from (a, b), which swaps two equal entries.
+    @example([(-4, 3), (-1, -5), (5, -4)])
+    @example([(2, 2), (2, 6)])  # equal pivots
+    @example([(2, 4), (6, 3)])  # a pivot that divides its partner
+    @example([(0, 0), (0, 7)])  # zero pivot, pulled up from below
+    @example([(-3, 0), (0, 6)])  # negative diagonal
+    def test_snf_properties(self, entries):
+        mat = as_matrix(entries)
+        rows, cols = len(mat), len(mat[0])
         s, u, v = snf(mat)
         assert mat_mul(mat_mul(u, mat), v) == s
         assert abs(det(u)) == 1
