@@ -13,16 +13,30 @@ The seed is the constructed cut, the cut of the vertex potential
 ``xi(v) = <x_v, type'> mod m`` (see :mod:`mckaycuts.construct`).  The
 lattice walk and both extremes work on those constraints alone, which
 ``_Bounds`` reads straight off xi; height functions and L1 values stay
-in :mod:`mckaycuts.heights`.  One walk enumerates every type.  It runs
-on v-vectors, starting from the seed's, zero.  Arrows of a type with
-count 0 are never cut, so v is constant along them and the walk moves
-whole classes (connected components of those arrows) by one: up when
-every bound leaving the class has slack 1, down when every one has
-slack 0.  These moves are the covers of the lattice, its Hasse
-edges, for every type; for a positive type every class is a single
-vertex and the moves are exactly the mutations at nonzero sources and
-sinks.  A cut is read off its vector as the arrows whose difference is
-at its lower bound.  The vectors are the lattice: it keeps no cut, and
+in :mod:`mckaycuts.heights`.  One walk enumerates every type.  Arrows
+of a type with count 0 are never cut, so v is constant along them and
+the walk moves whole classes (connected components of those arrows) by
+one.  These moves are the covers of the lattice, its Hasse edges, for
+every type; for a positive type every class is a single vertex and the
+moves are exactly the mutations at nonzero sources and sinks.
+
+The walk runs on ints.  A cut is the bit mask of the arrows it holds,
+arrow (u, t) at bit ``slot * u + t - 1`` with ``slot`` = n+1 rounded
+up to whole bytes.  A class rises when it holds every arrow into it
+from another class and none out of it, ``held & flip == into`` with
+``flip = into | out``, falls when that AND equals ``out``, and either
+move is ``held ^ flip``: one AND decides each move.  The walk starts at
+the bottom of the lattice, one shortest-path pass as for
+``min_element``, and only rises.  Each v-vector is packed into one int,
+the digit ``v[x] + m`` of each vertex in whole bytes with vertex 0 the
+most significant, so that int order is lexicographic order.  Digits
+never carry, because |v[x]| <= m - 1: v[0] = 0, v changes by at most 1
+along each arrow, and the quiver is strongly connected with m
+vertices.  The walk keeps each cut as its packed vector above its mask,
+so a rise is one addition.  The lattice JSON reads each cut's arrows
+off its mask, a table of arrow texts per byte; ``_Bounds.cut`` reads a
+``Cut`` off the vector's slacks, the arrows whose difference is at its
+lower bound.  The vectors are the lattice: it keeps no cut, and
 ``MutationLattice.cuts`` is a read-only property, a sequence that reads
 each cut off its vector through the seed's bounds when it is accessed.
 
@@ -47,9 +61,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import cache
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 
 from .construct import _arrow_json, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
@@ -141,8 +154,10 @@ class MutationLattice(_Record):
     in the order of ``v_vectors`` that holds no ``Cut``.  Indexing or
     iterating it reads each cut off its vector through ``bounds`` (a
     slice gives a tuple of cuts), so read a cut once where it is used
-    often.  The vectors are stored once, so a copy made with other
-    vectors reads off their cuts.  ``hasse_edges`` are the covers as
+    often.  The vectors are stored once, and ``bounds`` keeps the walk's
+    mask of each; a copy made with other vectors reads off their cuts,
+    through the walk's masks or, for a vector it never reached, through
+    the slacks.  ``hasse_edges`` are the covers as
     (lower index, upper index, vertex) triples, the vertex being the
     first of the class that moves (for a positive type, the vertex
     mutated).  ``to_json`` builds the JSON tree; ``json_chunks`` writes
@@ -189,47 +204,72 @@ class MutationLattice(_Record):
     def json_chunks(self):
         """Yield ``json.dumps(self.to_json(), indent=2) + "\\n"`` in pieces.
 
-        The text is written about one cut at a time and neither the dict
-        tree nor the whole string is built, nor any ``Cut``.  Each cut's
-        arrows are read straight off its v-vector: the seed cut's bounds
-        list every arrow in sorted order, and the cut holds those of
-        slack 0.  An arrow's object depends only on (vertex, type), so
-        each fragment is encoded once and then reused.
+        The text is written about one cut at a time, and the vectors and
+        edges 64 to a chunk; neither the dict tree nor the whole string is
+        built, nor any ``Cut``.  Each cut's
+        arrows are read off its mask (``bounds.held``): the mask's
+        little-endian bytes list the arrows in sorted order, and each
+        byte position has a table of the text of the arrows a byte value
+        holds, so a cut's array is one join over its bytes.  An arrow's
+        object depends only on (vertex, type), so each fragment is
+        encoded once and then reused.
         """
         bounds = self.bounds
         quiver = bounds.quiver
-        k = quiver.n + 1
-        # An item of a cut's "arrows" array, with the line break before it;
-        # a cut holds m >= 1 arrows, so no array is empty.
-        arrows = [
-            "\n        " + _indented(_arrow_json(quiver, u, t), 4)
-            for u, t, _, _ in bounds.arrows
+        k, size = quiver.n + 1, bounds.slot // 8
+        width = quiver.m * size
+        # Byte p holds the types 8j+1, ..., 8j+8 (j = p mod size) of the
+        # arrows out of vertex p // size.  Each item of a cut's "arrows"
+        # array comes with the separator before it; a cut holds m >= 1
+        # arrows, so the first separator is dropped from a nonempty text.
+        tables = [
+            _ArrowTexts(
+                [
+                    ",\n        " + _indented(_arrow_json(quiver, p // size, t), 4)
+                    for t in range(8 * (p % size) + 1, min(8 * (p % size) + 8, k) + 1)
+                ]
+            )
+            for p in range(width)
         ]
-        vertex = cache(lambda vx: _indented(quiver.vertices[vx], 3))
+        # The arrows of type t + 1 are bit t of every vertex's slot.
+        type_masks = [
+            int.from_bytes((1 << t).to_bytes(size, "little") * quiver.m, "little")
+            for t in range(k)
+        ]
         cut_head = (
             '{\n      "type": ' + _indented(self.cut_type, 3)
             + ',\n      "arrows": ['
         )
 
         def cut_text(v):
-            slack = bounds.slack(v)
-            # The arrows of type t + 1 sit at the indices t mod k.
-            counts = tuple(slack[t::k].count(0) for t in range(k))
+            held = bounds.held(v)
+            counts = tuple(map(int.bit_count, map(held.__and__, type_masks)))
             assert counts == self.cut_type, (counts, self.cut_type)
-            held = compress(arrows, map(operator.not_, slack))
-            return cut_head + ",".join(held) + "\n      ]\n    }"
+            arrows = "".join(
+                map(_ArrowTexts.__getitem__, tables, held.to_bytes(width, "little"))
+            )
+            return f"{cut_head}{arrows[1:]}\n      ]\n    }}"
 
+        # |v[x]| < m, and a table lookup is faster than ``str``.
+        digits = {x: str(x) for x in range(1 - quiver.m, quiver.m)}.__getitem__
+        pad = "\n      "
+        vector_sep = "," + pad
+
+        def vector_text(v):
+            return "[" + pad + vector_sep.join(map(digits, v)) + "\n    ]"
+
+        vertices = [_indented(x, 3) for x in quiver.vertices]
         edge_texts = (
             f'{{\n      "lower": {lo},\n      "upper": {hi},\n'
-            f'      "vertex": {vertex(vx)}\n    }}'
+            f'      "vertex": {vertices[vx]}\n    }}'
             for lo, hi, vx in self.hasse_edges
         )
         yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
         yield from _json_array(map(cut_text, self.v_vectors), 1)
         yield ',\n  "v_vectors": '
-        yield from _json_array((_indented(v, 2) for v in self.v_vectors), 1)
+        yield from _json_array(_blocks(map(vector_text, self.v_vectors)), 1)
         yield ',\n  "hasse_edges": '
-        yield from _json_array(edge_texts, 1)
+        yield from _json_array(_blocks(edge_texts), 1)
         yield (
             f',\n  "max_index": {self.max_index},'
             f'\n  "min_index": {self.min_index}\n}}\n'
@@ -246,6 +286,18 @@ class MutationLattice(_Record):
             lines.append(f'  c{lo} -> c{hi} [label="{rep}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _blocks(texts, size: int = 64):
+    """The items of a JSON array one level deep, ``size`` to a chunk.
+
+    Joined with the array's separator, a block reads as that many items
+    to ``_json_array``, so the text is the same and is written in a
+    size-th of the chunks.
+    """
+    texts = iter(texts)
+    while block := list(islice(texts, size)):
+        yield ",\n    ".join(block)
 
 
 class _Bounds:
@@ -265,17 +317,28 @@ class _Bounds:
     ``edges[x]`` lists the pairs (y, low) that bound ``v[y] - v[x]`` to
     {low, low + 1}: the arrow gives (w, low) at u and (u, -1 - low) at w.
 
+    A cut is also an int, the mask of the arrows it holds: arrow (u, t)
+    is bit ``slot * u + t - 1``, ``slot`` being n+1 rounded up to whole
+    bytes, so the little-endian bytes of a mask fall into whole bytes
+    per vertex, in the order of ``arrows``.  ``held(v)`` is the one
+    place a vector becomes a mask.  ``walked`` maps each vector the
+    lattice walk reached to the walk's int for it, whose low ``m *
+    slot`` bits (``all_bits``) are the mask; any other vector's mask is
+    read off its slacks.
+
     A class is a connected component of the arrows whose type has count
     0; s holds none of them and no cut does, so v is constant on each
     class.  Every class is a single vertex when the type is positive.
-    ``classes`` holds, for every class but the origin's, its members and
-    the edges (x, y, low) leaving it.
+    ``classes()`` gives each class but the origin's with the masks of
+    the arrows between it and the other classes, built in one pass over
+    the arrows; only the walk asks for them, not the extremes.
     """
 
     def __init__(self, quiver: McKayQuiver, cut_type) -> None:
         xi = _seed_potential(quiver.embedding, cut_type)
         m = quiver.m
         self.quiver = quiver
+        self.cut_type = cut_type
         self.arrows = [
             (u, t, w, (xi[u] + g) // m - 1)
             for u, row in enumerate(quiver.targets)
@@ -286,29 +349,66 @@ class _Bounds:
         for u, _, w, low in self.arrows:
             self.edges[u].append((w, low))
             self.edges[w].append((u, -1 - low))
-        zero = [t for t, g in zip(quiver.types, cut_type) if not g]
+        self.slot = 8 * -(-(quiver.n + 1) // 8)
+        self.all_bits = (1 << m * self.slot) - 1
+        self.walked: dict[Vec, int] = {}
+
+    def classes(self) -> list[tuple[list[int], int, int]]:
+        """(members, into, out) for every class but the origin's.
+
+        ``into`` is the mask of the arrows from other classes into the
+        class and ``out`` that of the arrows leaving it; arrows inside a
+        class, loops included, are in neither.  Classes come in order of
+        their first vertex, which is the first of their members.
+        """
+        quiver = self.quiver
+        zero = [t for t, g in zip(quiver.types, self.cut_type) if not g]
         # Each count-0 arrow lies on a cycle of its own type, so following
         # out-arrows alone finds the components.
         label = [-1] * quiver.m
-        self.classes = []
+        members = {}
         for start in range(quiver.m):
             if label[start] < 0:
                 label[start] = start
-                group = [start]
+                group = members[start] = [start]
                 for v in group:
                     for w in (quiver.targets[v][t - 1] for t in zero):
                         if label[w] < 0:
                             label[w] = start
                             group.append(w)
-                # The class is complete, so the edges leaving it are known.
-                leaving = [
-                    (x, y, low)
-                    for x in group
-                    for y, low in self.edges[x]
-                    if label[y] != start
-                ]
-                if start:
-                    self.classes.append((group, leaving))
+        into = dict.fromkeys(members, 0)
+        out = dict.fromkeys(members, 0)
+        for u, t, w, _ in self.arrows:
+            if label[u] != label[w]:
+                bit = 1 << self.slot * u + t - 1
+                out[label[u]] |= bit
+                into[label[w]] |= bit
+        return [(group, into[c], out[c]) for c, group in members.items() if c]
+
+    def extreme(self, sign: int) -> Vec:
+        """The top (sign +1) or bottom (sign -1) v-vector of the lattice.
+
+        The cuts of the type are the integer v-vectors with ``v[0] = 0``
+        and ``low <= v[y] - v[x] <= low + 1`` for every pair (y, low) in
+        ``edges[x]``.  Read the upper bounds as edges x -> y of weight
+        low + 1, which is 0 or 1.  Summing them along a shortest path
+        from 0 gives ``v[x] <= dist(x)`` for every cut, and dist
+        satisfies every bound (the triangle inequality; each lower bound
+        is the upper bound of the partner pair (x, -1 - low) at y) with
+        ``dist(0) = 0``, so dist is the componentwise maximum: the top of
+        the lattice.  The bottom is the same argument for -v, whose upper
+        bounds ``v[x] - v[y] <= -low`` weigh the edges x -> y by -low:
+        the maximum's edges reversed.  The vector is ``sign * dist``; a
+        loop gives edges from a vertex to itself, which change no
+        distance.
+        """
+        dist = _distances(
+            [
+                [(y, low + 1 if sign > 0 else -low) for y, low in row]
+                for row in self.edges
+            ]
+        )
+        return tuple(sign * d for d in dist)
 
     def slack(self, v) -> list[int]:
         """``v[w] - v[u] - low`` for each of ``arrows``, in that order.
@@ -317,19 +417,66 @@ class _Bounds:
         """
         return [v[w] - v[u] - low for u, _, w, low in self.arrows]
 
+    def _check(self, v) -> list[int]:
+        """``slack(v)``, refused unless every slack is 0 or 1."""
+        slack = self.slack(v)
+        if not set(slack) <= {0, 1}:
+            raise ValueError(f"{tuple(v)} leaves the seed cut's bounds")
+        return slack
+
+    def held(self, v: Vec) -> int:
+        """The mask of the arrows the cut of v holds.
+
+        A vector the walk reached has its mask in ``walked``; any other
+        is read off its slacks, one slot per vertex.  Raises ValueError
+        when v belongs to no cut of the type.
+        """
+        walked = self.walked.get(v)
+        if walked is not None:
+            return walked & self.all_bits
+        slack = self._check(v)
+        k, size = self.quiver.n + 1, self.slot // 8
+        slots = (
+            sum(1 << i for i, s in enumerate(slack[j : j + k]) if not s)
+            for j in range(0, len(slack), k)
+        )
+        return int.from_bytes(
+            b"".join(x.to_bytes(size, "little") for x in slots), "little"
+        )
+
     def cut(self, v) -> Cut:
         """The cut holding the arrows whose difference is at its lower bound.
 
         Raises ValueError when some difference leaves its two values,
         that is, when v belongs to no cut of the type.
         """
-        slack = self.slack(v)
-        if not set(slack) <= {0, 1}:
-            raise ValueError(f"{tuple(v)} leaves the seed cut's bounds")
+        slack = self._check(v)
         return Cut(
             quiver=self.quiver,
             arrows=frozenset(compress(self.pairs, map(operator.not_, slack))),
         )
+
+
+class _ArrowTexts(dict):
+    """The JSON text of the arrows at one byte of a mask, by byte value.
+
+    ``texts[i]`` is the text of the arrow at bit i of the byte, with the
+    separator before it.  A byte value's text is joined the first time a
+    cut has it, so only the values that occur are built: a table of every
+    value would hold 2^(n+1) texts per vertex.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]) -> None:
+        super().__init__()
+        self.texts = texts
+
+    def __missing__(self, byte: int) -> str:
+        text = self[byte] = "".join(
+            t for i, t in enumerate(self.texts) if byte >> i & 1
+        )
+        return text
 
 
 class _LatticeCuts(Sequence):
@@ -359,39 +506,87 @@ class _LatticeCuts(Sequence):
 
 
 def _walk_lattice(bounds: _Bounds):
-    """Close the seed's v-vector, zero, under moves of the classes.
+    """Climb from the bottom of the lattice by rises of single classes.
 
-    A class can rise by one when every edge leaving it has slack 1 (its
-    difference at the upper bound) and fall by one when every such edge
-    has slack 0; for a single vertex these are a source and a sink of
-    the cut quiver.  Edges inside a class, loops included, keep their
-    slack.  Returns the vectors reached and the rises as ``(lower, k)``
-    pairs, k indexing ``bounds.classes``; the upper end is not kept.
-    Each rise is recorded once, from its lower end.
+    A class can rise by one when every arrow into it from another class
+    is held and every arrow out of it to another class is free: each of
+    their differences is at the bound the rise leaves.  Arrows inside a
+    class, loops included, keep their difference.  For a single vertex
+    this is a source of the cut quiver.  On the masks of
+    :class:`_Bounds`, with ``flip = into | out``, the class rises when
+    ``held & flip == into``, so one AND decides it, and the rise is
+    ``held ^ flip``.  (It falls in the mirror case, ``held & flip ==
+    out``, which the climb never needs: every cut lies above the bottom
+    by a chain of covers.)
+
+    Each vector is packed into one int, vertex 0 as its most significant
+    digit, the digit of x being ``v[x] + m`` in d bits, d the bit length
+    of 2m rounded up to whole bytes.  Every |v[x]| is at most m - 1:
+    v[0] = 0, v changes by at most 1 along each arrow, and the quiver is
+    strongly connected with m vertices.  So digits lie in [1, 2m - 1],
+    int order is lexicographic order, and a rise adds the class's ones.
+    The walk keeps each cut as one int, its packed vector above its
+    mask.  A rise takes the into-arrows out of the mask and puts the
+    out-arrows in, so it adds the class's constant ``step``, and no
+    carry crosses from one digit or mask bit to the next.
+
+    Returns the sorted vectors, the walk's int of each in that order and
+    the sorted Hasse edges (lower index, upper index, first vertex of the
+    class).  Each rise is recorded once, from its lower end, and popped
+    as its edge is numbered through the walk's own dict, so the rises
+    and the edges are never held in full together.
     """
-    start = (0,) * bounds.quiver.m
-    seen = {start}
-    stack = [start]
+    m = bounds.quiver.m
+    size = -(-(2 * m).bit_length() // 8)
+    low = m * bounds.slot
+    moves = []
     rises = []
+    for members, into, out in bounds.classes():
+        ones = sum(1 << 8 * size * (m - 1 - x) for x in members)
+        step = (ones << low) + out - into
+        lowers: list[int] = []
+        moves.append((into | out, into, step, lowers))
+        rises.append((step, members[0], lowers))
+    bottom = bounds.extreme(-1)
+    start = int.from_bytes(
+        b"".join((x + m).to_bytes(size, "big") for x in bottom), "big"
+    )
+    start = start << low | bounds.held(bottom)
+    seen = {start: None}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for k, (members, leaving) in enumerate(bounds.classes):
-            x, y, low = leaving[0]
-            slack = v[y] - v[x] - low
-            for x, y, low in leaving:
-                if v[y] - v[x] - low != slack:
-                    break
-            else:
-                moved = list(v)
-                for u in members:
-                    moved[u] += 2 * slack - 1
-                moved = tuple(moved)
-                if slack:
-                    rises.append((v, k))
+        cut = stack.pop()
+        for flip, into, step, lowers in moves:
+            if cut & flip == into:
+                lowers.append(cut)
+                moved = cut + step
                 if moved not in seen:
-                    seen.add(moved)
+                    seen[moved] = None
                     stack.append(moved)
-    return seen, rises
+    packed = sorted(seen)
+    for i, cut in enumerate(packed):
+        seen[cut] = i
+    edges = []
+    for step, vertex, lowers in rises:
+        while lowers:
+            lower = lowers.pop()
+            edges.append((seen[lower], seen[lower + step], vertex))
+    del seen
+    edges.sort()
+    # One int object per value, shared by every vector.
+    values = [x - m for x in range(2 * m)]
+    width = m * size + low // 8
+
+    def unpack(cut: int) -> Vec:
+        raw = cut.to_bytes(width, "big")
+        if size == 1:
+            return tuple(map(values.__getitem__, raw[:m]))
+        return tuple(
+            values[int.from_bytes(raw[i : i + size], "big")]
+            for i in range(0, m * size, size)
+        )
+
+    return tuple(map(unpack, packed)), packed, tuple(edges)
 
 
 def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
@@ -423,10 +618,11 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     Every term on the left is <= 0 and every term on the right > 0, so
     the walk only crosses cut arrows of a type with g_t = m.  Then the
     other n types have count 0 and link every vertex into class 0,
-    which never moves, so T is empty.  The walk on v-vectors from the
-    seed's, zero, through single class moves, down to a meet and up
-    again, reaches every cut, and each cut is read off its vector; no
-    height function is computed.
+    which never moves, so T is empty.  So every cut lies above the
+    bottom (:meth:`_Bounds.extreme`) by a chain of single class rises,
+    and the climb of :func:`_walk_lattice` from the bottom reaches every
+    cut.  It works on each cut's mask and packed vector; no height
+    function is computed.
 
     Each cover is a Hasse edge, labelled by the first vertex of the
     class that moved.  For a positive type each class is one vertex and
@@ -434,28 +630,15 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    vectors, rises = _walk_lattice(bounds)
-    v_vectors = tuple(sorted(vectors))
-    del vectors
-    order = {v: i for i, v in enumerate(v_vectors)}
-    edges = []
-    # Popping frees each rise once its edge is numbered, so the rises and
-    # the edges, the two largest lists, are never held in full together.
-    while rises:
-        lower, k = rises.pop()
-        members = bounds.classes[k][0]
-        upper = list(lower)
-        for u in members:
-            upper[u] += 1
-        edges.append((order[lower], order[tuple(upper)], members[0]))
-    edges.sort()
+    v_vectors, walked, edges = _walk_lattice(bounds)
+    bounds.walked = dict(zip(v_vectors, walked))
     # The componentwise max (min) of a set closed under max (min) is
     # above (below) every member, so it is also the lexicographically
     # last (first) of the sorted vectors.
     return MutationLattice(
         cut_type=cut_type,
         v_vectors=v_vectors,
-        hasse_edges=tuple(edges),
+        hasse_edges=edges,
         max_index=len(v_vectors) - 1,
         min_index=0,
         bounds=bounds,
@@ -483,31 +666,10 @@ def _distances(adjacency) -> list[int]:
 
 
 def _extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
-    """Maximal (sign +1) or minimal (sign -1) cut of an admissible type.
-
-    The cuts of the type are the integer v-vectors with ``v[0] = 0``
-    and ``low <= v[y] - v[x] <= low + 1`` for every pair (y, low) in
-    ``edges[x]`` of the seed cut's bounds (see :class:`_Bounds`).  Read
-    the upper bounds as edges x -> y of weight low + 1, which is 0 or 1.
-    Summing them along a shortest path from 0 gives ``v[x] <= dist(x)``
-    for every cut, and dist satisfies every bound (the triangle
-    inequality; each lower bound is the upper bound of the partner pair
-    (x, -1 - low) at y) with ``dist(0) = 0``, so dist is the
-    componentwise maximum: the top of the lattice.  The bottom is the
-    same argument for -v, whose upper bounds ``v[x] - v[y] <= -low``
-    weigh the edges x -> y by -low: the maximum's edges reversed.  The
-    cut is read off ``sign * dist``; a loop gives edges from a vertex to
-    itself, which change no distance.
-    """
+    """Maximal (sign +1) or minimal (sign -1) cut of an admissible type."""
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    dist = _distances(
-        [
-            [(y, low + 1 if sign > 0 else -low) for y, low in row]
-            for row in bounds.edges
-        ]
-    )
-    cut = bounds.cut([sign * d for d in dist])
+    cut = bounds.cut(bounds.extreme(sign))
     assert type_of(cut) == cut_type, (type_of(cut), cut_type)
     return cut
 

@@ -40,9 +40,9 @@ from the walk that produced the lattice, must hold for every vector;
 every feasible unit step a +- e_x of a member must be a member, and
 every feasible a + e_x a Hasse edge.  The origin-source check reads
 the edges too: only the maximum may lack an edge up, so one cut quiver
-is built per type.  Per type: 2|L| cut potentials (each relative
-height reads the cut's and the first cut's) and O(|L| m (n+1)) integer
-operations.
+is built per type.  Per type: one height function per cut, compared
+with the first cut's, computed once, plus one relative height vector
+(the top's against the first), and O(|L| m (n+1)) integer operations.
 """
 
 from __future__ import annotations
@@ -240,11 +240,20 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         details.append("matches subset oracle")
     # Each access to ``cuts`` builds a cut, so read these two once.
     first, top = cuts[0], cuts[lattice.max_index]
+    # Heights of one type differ by n+1 times their relative heights, so
+    # each cut's heights minus the first cut's, computed once, must be
+    # n+1 times its vector minus the first.
+    rise = quiver.n + 1
+    base = height_from_cut(quiver, first).values
     for cut, vec in zip(cuts, vecs):
         assert type_of(cut) == cut_type
-        assert relative_height_vector(cut, first) == tuple(
-            map(operator.sub, vec, vecs[0])
-        )
+        values = height_from_cut(quiver, cut).values
+        assert list(map(operator.sub, values, base)) == [
+            rise * (a - b) for a, b in zip(vec, vecs[0])
+        ]
+    assert relative_height_vector(top, first) == tuple(
+        map(operator.sub, vecs[lattice.max_index], vecs[0])
+    )
     index = {vec: i for i, vec in enumerate(vecs)}
     assert len(index) == len(vecs)
     up = {}  # (lower index, vertex) -> upper index

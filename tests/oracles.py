@@ -326,3 +326,77 @@ def matrix_product(a, b):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
     )
+
+
+def walk_lattice_by_slacks(quiver, cut_type, seed_arrows):
+    """The v-vectors and Hasse edges of one type's cuts, by a tuple walk.
+
+    This is the walk that enumerated cut lattices before the package
+    moved to bit masks, kept as a reference.  Along each arrow u -> w a
+    cut's v-vector keeps ``v[w] - v[u] - low`` in {0, 1}, low being 0 if
+    the seed cut ``seed_arrows`` holds the arrow and -1 if not.  A class
+    is a component of the arrows whose type has count 0.  From the
+    seed's vector, zero, a class moves by one whenever every difference
+    between it and the other classes has the same slack: up when that
+    slack is 1, down when it is 0.  Returns the sorted vectors and the
+    sorted edges (lower index, upper index, first vertex of the class).
+    """
+    m = quiver.m
+    arrows = [
+        (u, t, quiver.targets[u][t - 1], 0 if (u, t) in seed_arrows else -1)
+        for u in range(m)
+        for t in quiver.types
+    ]
+    edges = [[] for _ in range(m)]
+    for u, _, w, low in arrows:
+        edges[u].append((w, low))
+        edges[w].append((u, -1 - low))
+    zero = [t for t, g in zip(quiver.types, cut_type) if not g]
+    label = [-1] * m
+    classes = []
+    for start in range(m):
+        if label[start] < 0:
+            label[start] = start
+            group = [start]
+            for v in group:
+                for w in (quiver.targets[v][t - 1] for t in zero):
+                    if label[w] < 0:
+                        label[w] = start
+                        group.append(w)
+            leaving = [
+                (x, y, low)
+                for x in group
+                for y, low in edges[x]
+                if label[y] != start
+            ]
+            if start:
+                classes.append((group, leaving))
+    start = (0,) * m
+    seen = {start}
+    stack = [start]
+    rises = []
+    while stack:
+        v = stack.pop()
+        for k, (members, leaving) in enumerate(classes):
+            x, y, low = leaving[0]
+            slack = v[y] - v[x] - low
+            if all(v[y] - v[x] - low == slack for x, y, low in leaving):
+                moved = list(v)
+                for u in members:
+                    moved[u] += 2 * slack - 1
+                moved = tuple(moved)
+                if slack:
+                    rises.append((v, k))
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    vectors = sorted(seen)
+    order = {v: i for i, v in enumerate(vectors)}
+    hasse = []
+    for lower, k in rises:
+        members = classes[k][0]
+        upper = list(lower)
+        for u in members:
+            upper[u] += 1
+        hasse.append((order[lower], order[tuple(upper)], members[0]))
+    return tuple(vectors), tuple(sorted(hasse))

@@ -31,7 +31,7 @@ from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
 from mckaycuts.typesimplex import enumerate_types
 from mckaycuts.verify import brute_force_cuts_of_type
 from conftest import NAMED_SPECS, instance, oracle_extremes
-from oracles import all_cuts_exhaustive
+from oracles import all_cuts_exhaustive, walk_lattice_by_slacks
 
 
 def cyclic_quiver(m, weights):
@@ -678,3 +678,54 @@ class TestLatticeJsonChunks:
         cut_type = data.draw(st.sampled_from(types))
         lattice = enumerate_cut_lattice(quiver, cut_type)
         assert "".join(lattice.json_chunks()) == dumped(lattice)
+
+
+@st.composite
+def cyclic_groups_with_any_type(draw):
+    """A cyclic group 1/m(w) with n = 2-4, m <= 16 and any admissible type."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 16))
+    head = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    weights = (*head, -sum(head) % m)
+    assume(gcd(*weights, m) == 1)
+    quiver = cyclic_quiver(m, weights)
+    types = enumerate_types(quiver.embedding).all_types
+    return quiver, draw(st.sampled_from(types))
+
+
+def assert_walk_matches_oracle(quiver, lattice):
+    seed = construct_cut(quiver, lattice.cut_type).arrows
+    vectors, edges = walk_lattice_by_slacks(quiver, lattice.cut_type, seed)
+    assert lattice.v_vectors == vectors
+    assert lattice.hasse_edges == edges
+
+
+class TestPackedWalk:
+    """The walk on masks and packed vectors against the tuple walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cyclic_groups_with_any_type())
+    def test_matches_the_tuple_walk_on_random_cyclic_groups(self, instance):
+        quiver, cut_type = instance
+        assert_walk_matches_oracle(quiver, enumerate_cut_lattice(quiver, cut_type))
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_more_types_than_one_byte_holds(self, n):
+        # 1/(n+1)(1,...,1), type (1,...,1): 8, 9 and 10 arrows per vertex,
+        # so from n = 8 on each vertex's arrows take two bytes of a mask.
+        quiver = cyclic_quiver(n + 1, (1,) * (n + 1))
+        lattice = enumerate_cut_lattice(quiver, (1,) * (n + 1))
+        assert len(lattice.v_vectors) == n + 1
+        assert [(lo, hi) for lo, hi, _ in lattice.hasse_edges] == [
+            (i, i + 1) for i in range(n)
+        ]
+        assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_walk_matches_oracle(quiver, lattice)
+
+    def test_two_byte_vector_digits(self):
+        # m = 130: a digit v[x] + m reaches 2m - 1 = 259, past one byte.
+        quiver = cyclic_quiver(130, (1, 5, 124))
+        lattice = enumerate_cut_lattice(quiver, (1, 5, 124))
+        assert len(lattice.v_vectors) == 130
+        assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_walk_matches_oracle(quiver, lattice)
