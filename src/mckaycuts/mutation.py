@@ -33,12 +33,16 @@ most significant, so that int order is lexicographic order.  Digits
 never carry, because |v[x]| <= m - 1: v[0] = 0, v changes by at most 1
 along each arrow, and the quiver is strongly connected with m
 vertices.  The walk keeps each cut as its packed vector above its mask,
-so a rise is one addition.  The lattice JSON reads each cut's arrows
-off its mask, a table of arrow texts per byte; ``_Bounds.cut`` reads a
-``Cut`` off the vector's slacks, the arrows whose difference is at its
-lower bound.  The vectors are the lattice: it keeps no cut, and
+so a rise is one addition.  The mask is the cut: ``_Bounds.held`` is
+the one place a v-vector becomes a cut, and it checks the cut's type
+once.  It returns the walk's mask for a vector the walk reached and
+reads any other off the vector's slacks, the arrows whose difference
+is at its lower bound.  The lattice JSON reads each cut's arrows off
+that mask, a table of arrow texts per byte, and ``_Bounds.cut`` reads a
+``Cut`` off it.  The vectors are the lattice: it keeps no cut, and
 ``MutationLattice.cuts`` is a read-only property, a sequence that reads
-each cut off its vector through the seed's bounds when it is accessed.
+each cut off its vector's mask when it is accessed, so it holds the
+same arrows that the ``lattice`` command prints.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -155,17 +159,18 @@ class MutationLattice(_Record):
     iterating it reads each cut off its vector through ``bounds`` (a
     slice gives a tuple of cuts), so read a cut once where it is used
     often.  The vectors are stored once, and ``bounds`` keeps the walk's
-    mask of each; a copy made with other vectors reads off their cuts,
-    through the walk's masks or, for a vector it never reached, through
-    the slacks.  ``hasse_edges`` are the covers as
-    (lower index, upper index, vertex) triples, the vertex being the
-    first of the class that moves (for a positive type, the vertex
-    mutated).  ``to_json`` builds the JSON tree; ``json_chunks`` writes
-    the same tree's ``indent=2`` text piece by piece without building
-    it, which is how the ``lattice`` command prints it.  The fragment
-    encoder ``_indented`` and the array layout ``_json_array`` it uses
-    live in ``construct``, next to ``_arrow_json``, and also serve the
-    ``construct`` command.
+    mask of each.  Both ``cuts`` and ``json_chunks`` read a cut off its
+    vector's mask (``bounds.held``), so they give the same arrows; a
+    copy made with other vectors reads off their cuts, through the
+    walk's masks or, for a vector it never reached, through the slacks.
+    ``hasse_edges`` are the covers as (lower index, upper index, vertex)
+    triples, the vertex being the first of the class that moves (for a
+    positive type, the vertex mutated).  ``to_json`` builds the JSON
+    tree; ``json_chunks`` writes the same tree's ``indent=2`` text piece
+    by piece without building it, which is how the ``lattice`` command
+    prints it.  The fragment encoder ``_indented`` and the array layout
+    ``_json_array`` it uses live in ``construct``, next to
+    ``_arrow_json``, and also serve the ``construct`` command.
     """
 
     cut_type: Vec
@@ -181,7 +186,7 @@ class MutationLattice(_Record):
 
     @property
     def cuts(self) -> Sequence[Cut]:
-        return _LatticeCuts(self.bounds, self.v_vectors, self.cut_type)
+        return _LatticeCuts(self.bounds, self.v_vectors)
 
     def to_json(self) -> dict:
         quiver = self.bounds.quiver
@@ -206,8 +211,8 @@ class MutationLattice(_Record):
 
         The text is written about one cut at a time, and the vectors and
         edges 64 to a chunk; neither the dict tree nor the whole string is
-        built, nor any ``Cut``.  Each cut's
-        arrows are read off its mask (``bounds.held``): the mask's
+        built, nor any ``Cut``.  Each cut's arrows are read off its mask
+        (``bounds.held``, which also checks the cut's type): the mask's
         little-endian bytes list the arrows in sorted order, and each
         byte position has a table of the text of the arrows a byte value
         holds, so a cut's array is one join over its bytes.  An arrow's
@@ -231,23 +236,14 @@ class MutationLattice(_Record):
             )
             for p in range(width)
         ]
-        # The arrows of type t + 1 are bit t of every vertex's slot.
-        type_masks = [
-            int.from_bytes((1 << t).to_bytes(size, "little") * quiver.m, "little")
-            for t in range(k)
-        ]
         cut_head = (
             '{\n      "type": ' + _indented(self.cut_type, 3)
             + ',\n      "arrows": ['
         )
 
         def cut_text(v):
-            held = bounds.held(v)
-            counts = tuple(map(int.bit_count, map(held.__and__, type_masks)))
-            assert counts == self.cut_type, (counts, self.cut_type)
-            arrows = "".join(
-                map(_ArrowTexts.__getitem__, tables, held.to_bytes(width, "little"))
-            )
+            held = bounds.held(v).to_bytes(width, "little")
+            arrows = "".join(map(_ArrowTexts.__getitem__, tables, held))
             return f"{cut_head}{arrows[1:]}\n      ]\n    }}"
 
         # |v[x]| < m, and a table lookup is faster than ``str``.
@@ -312,19 +308,21 @@ class _Bounds:
     at its lower bound (see :func:`enumerate_cut_lattice`).  ``arrows``
     lists these as (u, t, w, low), t being the arrow's type, sorted by
     (u, t), so the arrows of type t sit at the indices i = t - 1 mod
-    n + 1;
-    ``pairs`` holds the arrows (u, t) themselves, shared by every cut.
-    ``edges[x]`` lists the pairs (y, low) that bound ``v[y] - v[x]`` to
-    {low, low + 1}: the arrow gives (w, low) at u and (u, -1 - low) at w.
+    n + 1.  ``pairs`` holds the arrows (u, t) themselves, shared by
+    every cut.
 
-    A cut is also an int, the mask of the arrows it holds: arrow (u, t)
-    is bit ``slot * u + t - 1``, ``slot`` being n+1 rounded up to whole
+    A cut is an int, the mask of the arrows it holds: arrow (u, t) is
+    bit ``slot * u + t - 1``, ``slot`` being n+1 rounded up to whole
     bytes, so the little-endian bytes of a mask fall into whole bytes
-    per vertex, in the order of ``arrows``.  ``held(v)`` is the one
-    place a vector becomes a mask.  ``walked`` maps each vector the
-    lattice walk reached to the walk's int for it, whose low ``m *
-    slot`` bits (``all_bits``) are the mask; any other vector's mask is
-    read off its slacks.
+    per vertex, in the order of ``arrows``; ``bits`` lists each arrow's
+    bit in that order, and ``type_masks[t - 1]`` holds the bits of the
+    arrows of type t.  ``held(v)`` is the one place a vector becomes a
+    mask, and the one place a cut's type is checked.  ``walked`` maps
+    each vector the lattice walk reached to the walk's int for it, whose
+    low ``m * slot`` bits (``all_bits``) are the mask; any other
+    vector's mask is read off its slacks.  ``cut(v)`` is the ``Cut`` of
+    that mask, so a lattice's ``cuts`` and its printed JSON read the
+    same masks.
 
     A class is a connected component of the arrows whose type has count
     0; s holds none of them and no cut does, so v is constant on each
@@ -336,7 +334,7 @@ class _Bounds:
 
     def __init__(self, quiver: McKayQuiver, cut_type) -> None:
         xi = _seed_potential(quiver.embedding, cut_type)
-        m = quiver.m
+        m, k = quiver.m, quiver.n + 1
         self.quiver = quiver
         self.cut_type = cut_type
         self.arrows = [
@@ -345,12 +343,14 @@ class _Bounds:
             for t, w, g in zip(quiver.types, row, cut_type)
         ]
         self.pairs = [(u, t) for u, t, _, _ in self.arrows]
-        self.edges = [[] for _ in range(m)]
-        for u, _, w, low in self.arrows:
-            self.edges[u].append((w, low))
-            self.edges[w].append((u, -1 - low))
-        self.slot = 8 * -(-(quiver.n + 1) // 8)
+        self.slot = 8 * -(-k // 8)
+        self.bits = [1 << self.slot * u + t - 1 for u, t in self.pairs]
         self.all_bits = (1 << m * self.slot) - 1
+        # The arrows of type t + 1 are bit t of every vertex's slot.
+        self.type_masks = [
+            int.from_bytes((1 << t).to_bytes(self.slot // 8, "little") * m, "little")
+            for t in range(k)
+        ]
         self.walked: dict[Vec, int] = {}
 
     def classes(self) -> list[tuple[list[int], int, int]]:
@@ -378,9 +378,8 @@ class _Bounds:
                             group.append(w)
         into = dict.fromkeys(members, 0)
         out = dict.fromkeys(members, 0)
-        for u, t, w, _ in self.arrows:
+        for bit, (u, _, w, _) in zip(self.bits, self.arrows):
             if label[u] != label[w]:
-                bit = 1 << self.slot * u + t - 1
                 out[label[u]] |= bit
                 into[label[w]] |= bit
         return [(group, into[c], out[c]) for c, group in members.items() if c]
@@ -389,72 +388,56 @@ class _Bounds:
         """The top (sign +1) or bottom (sign -1) v-vector of the lattice.
 
         The cuts of the type are the integer v-vectors with ``v[0] = 0``
-        and ``low <= v[y] - v[x] <= low + 1`` for every pair (y, low) in
-        ``edges[x]``.  Read the upper bounds as edges x -> y of weight
-        low + 1, which is 0 or 1.  Summing them along a shortest path
-        from 0 gives ``v[x] <= dist(x)`` for every cut, and dist
-        satisfies every bound (the triangle inequality; each lower bound
-        is the upper bound of the partner pair (x, -1 - low) at y) with
-        ``dist(0) = 0``, so dist is the componentwise maximum: the top of
-        the lattice.  The bottom is the same argument for -v, whose upper
-        bounds ``v[x] - v[y] <= -low`` weigh the edges x -> y by -low:
-        the maximum's edges reversed.  The vector is ``sign * dist``; a
-        loop gives edges from a vertex to itself, which change no
-        distance.
+        and ``low <= v[w] - v[u] <= low + 1`` along every arrow (u, t, w,
+        low).  Read each upper bound as an edge of weight 0 or 1: u -> w
+        of weight low + 1, and w -> u of weight -low, from the lower
+        bound ``v[u] - v[w] <= -low``.  Summing them along a shortest
+        path from 0 gives ``v[x] <= dist(x)`` for every cut, and dist
+        satisfies every bound (the triangle inequality) with ``dist(0) =
+        0``, so dist is the componentwise maximum: the top of the
+        lattice.  The bottom is the same argument for -v, whose upper
+        bounds are the lower bounds of v: the same edges with the weights
+        swapped.  The vector is ``sign * dist``; a loop gives edges from
+        a vertex to itself, which change no distance.
         """
-        dist = _distances(
-            [
-                [(y, low + 1 if sign > 0 else -low) for y, low in row]
-                for row in self.edges
-            ]
-        )
-        return tuple(sign * d for d in dist)
+        adjacency = [[] for _ in range(self.quiver.m)]
+        for u, _, w, low in self.arrows:
+            ahead, back = (low + 1, -low) if sign > 0 else (-low, low + 1)
+            adjacency[u].append((w, ahead))
+            adjacency[w].append((u, back))
+        return tuple(sign * d for d in _distances(adjacency))
 
-    def slack(self, v) -> list[int]:
-        """``v[w] - v[u] - low`` for each of ``arrows``, in that order.
+    def held(self, v) -> int:
+        """The mask of the arrows the cut of v holds, its type checked.
 
-        The cut of v holds exactly the arrows of slack 0.
+        This is the one place a v-vector becomes a cut.  A vector the
+        walk reached has its mask in ``walked``; any other is read off
+        its slacks ``v[w] - v[u] - low``, one pass over ``arrows``, the
+        cut holding the arrows of slack 0.  Raises ValueError when a
+        slack is neither 0 nor 1, that is, when v belongs to no cut of
+        the type.  The mask's popcount on each of ``type_masks`` must be
+        the type's count.
         """
-        return [v[w] - v[u] - low for u, _, w, low in self.arrows]
-
-    def _check(self, v) -> list[int]:
-        """``slack(v)``, refused unless every slack is 0 or 1."""
-        slack = self.slack(v)
-        if not set(slack) <= {0, 1}:
-            raise ValueError(f"{tuple(v)} leaves the seed cut's bounds")
-        return slack
-
-    def held(self, v: Vec) -> int:
-        """The mask of the arrows the cut of v holds.
-
-        A vector the walk reached has its mask in ``walked``; any other
-        is read off its slacks, one slot per vertex.  Raises ValueError
-        when v belongs to no cut of the type.
-        """
-        walked = self.walked.get(v)
-        if walked is not None:
-            return walked & self.all_bits
-        slack = self._check(v)
-        k, size = self.quiver.n + 1, self.slot // 8
-        slots = (
-            sum(1 << i for i, s in enumerate(slack[j : j + k]) if not s)
-            for j in range(0, len(slack), k)
-        )
-        return int.from_bytes(
-            b"".join(x.to_bytes(size, "little") for x in slots), "little"
-        )
+        v = tuple(v)
+        mask = self.walked.get(v)
+        if mask is None:
+            mask = 0
+            for bit, (u, _, w, low) in zip(self.bits, self.arrows):
+                slack = v[w] - v[u] - low
+                if not slack:
+                    mask |= bit
+                elif slack != 1:
+                    raise ValueError(f"{v} leaves the seed cut's bounds")
+        else:
+            mask &= self.all_bits
+        counts = tuple(map(int.bit_count, map(mask.__and__, self.type_masks)))
+        assert counts == self.cut_type, (counts, self.cut_type)
+        return mask
 
     def cut(self, v) -> Cut:
-        """The cut holding the arrows whose difference is at its lower bound.
-
-        Raises ValueError when some difference leaves its two values,
-        that is, when v belongs to no cut of the type.
-        """
-        slack = self._check(v)
-        return Cut(
-            quiver=self.quiver,
-            arrows=frozenset(compress(self.pairs, map(operator.not_, slack))),
-        )
+        """The ``Cut`` of v, the arrows of its mask (see :meth:`held`)."""
+        arrows = compress(self.pairs, map(self.held(v).__and__, self.bits))
+        return Cut(quiver=self.quiver, arrows=frozenset(arrows))
 
 
 class _ArrowTexts(dict):
@@ -483,16 +466,15 @@ class _LatticeCuts(Sequence):
     """The cuts of a lattice, read off its sorted v-vectors on access.
 
     Holds only the vectors and the seed cut's bounds; each item access
-    builds one ``Cut`` and checks its type, and a slice is a tuple of
-    cuts.  The sequence is read-only.
+    builds one ``Cut`` off the vector's mask (``_Bounds.cut``), and a
+    slice is a tuple of cuts.  The sequence is read-only.
     """
 
-    __slots__ = ("bounds", "vectors", "cut_type")
+    __slots__ = ("bounds", "vectors")
 
-    def __init__(self, bounds: _Bounds, vectors: tuple[Vec, ...], cut_type: Vec):
+    def __init__(self, bounds: _Bounds, vectors: tuple[Vec, ...]):
         self.bounds = bounds
         self.vectors = vectors
-        self.cut_type = cut_type
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -500,9 +482,7 @@ class _LatticeCuts(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(map(self.__getitem__, range(len(self))[index]))
-        cut = self.bounds.cut(self.vectors[index])
-        assert type_of(cut) == self.cut_type, (type_of(cut), self.cut_type)
-        return cut
+        return self.bounds.cut(self.vectors[index])
 
 
 def _walk_lattice(bounds: _Bounds):
@@ -669,9 +649,7 @@ def _extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
     """Maximal (sign +1) or minimal (sign -1) cut of an admissible type."""
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    cut = bounds.cut(bounds.extreme(sign))
-    assert type_of(cut) == cut_type, (type_of(cut), cut_type)
-    return cut
+    return bounds.cut(bounds.extreme(sign))
 
 
 def max_element(quiver: McKayQuiver, cut_type) -> Cut:

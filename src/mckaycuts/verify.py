@@ -35,14 +35,18 @@ the oracle and the divisibility check are its only callers.
 
 The mutation-lattice check works on v-vectors: each cut's relative
 height must match its vector and each Hasse edge must be a unit step
-up.  Difference constraints built from the first cut's arrow set, not
-from the walk that produced the lattice, must hold for every vector;
-every feasible unit step a +- e_x of a member must be a member, and
-every feasible a + e_x a Hasse edge.  The origin-source check reads
-the edges too: only the maximum may lack an edge up, so one cut quiver
-is built per type.  Per type: one height function per cut, compared
-with the first cut's, computed once, plus one relative height vector
-(the top's against the first), and O(|L| m (n+1)) integer operations.
+up.  The cuts it reads are the lattice's ``cuts``, which are read off
+the walk's masks, the masks the ``lattice`` command prints; so those
+masks are checked against the heights and, within budget, against the
+subset oracle.  Difference constraints built from the first cut's
+arrow set, not from the walk that produced the lattice, must hold for
+every vector; every feasible unit step a +- e_x of a member must be a
+member, and every feasible a + e_x a Hasse edge.  The origin-source
+check reads the edges too: only the maximum may lack an edge up, so
+one cut quiver is built per type.  Per type: one height function per
+cut, compared with the first cut's, computed once, plus one relative
+height vector (the top's against the first), and O(|L| m (n+1))
+integer operations.
 """
 
 from __future__ import annotations

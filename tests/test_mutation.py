@@ -614,8 +614,27 @@ class TestHasseTransitiveReduction:
             assert {(lo, hi) for lo, hi, _ in lattice.hasse_edges} == reduction
 
 
+def rebuilt(lattice, vectors, bounds):
+    """``lattice`` with other vectors and bounds, through the constructor."""
+    return MutationLattice(
+        lattice.cut_type,
+        vectors,
+        lattice.hasse_edges,
+        lattice.max_index,
+        lattice.min_index,
+        bounds,
+    )
+
+
 def dumped(lattice) -> str:
-    return json.dumps(lattice.to_json(), indent=2) + "\n"
+    """``to_json`` text of the lattice with every cut read off its slacks.
+
+    New seed bounds hold no walked mask, so comparing this with the
+    lattice's own stream checks the walk's masks against the slacks.
+    """
+    fresh = mutation._Bounds(lattice.bounds.quiver, lattice.cut_type)
+    tree = rebuilt(lattice, lattice.v_vectors, fresh).to_json()
+    return json.dumps(tree, indent=2) + "\n"
 
 
 def assert_cuts_act_as_tuple(quiver, lattice):
@@ -650,19 +669,17 @@ class TestLatticeJsonChunks:
         assert nonpositive > 0 and single > 0
 
     def test_a_copy_reads_its_cuts_off_its_own_vectors(self):
-        # 1/6(1,2,3), type (1,2,3): a copy with the vectors reversed
-        # streams the same text as its tree, with the cuts reversed too.
+        # 1/6(1,2,3), type (1,2,3): a copy with the vectors reversed, as
+        # tuples or as lists, streams the same text as its tree, with the
+        # cuts reversed too.
         lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
-        copy = MutationLattice(
-            lattice.cut_type,
-            lattice.v_vectors[::-1],
-            lattice.hasse_edges,
-            lattice.max_index,
-            lattice.min_index,
-            lattice.bounds,
-        )
-        assert tuple(copy.cuts) == tuple(lattice.cuts)[::-1]
-        assert "".join(copy.json_chunks()) == dumped(copy)
+        reverse = lattice.v_vectors[::-1]
+        for vectors in (reverse, [list(v) for v in reverse]):
+            copy = rebuilt(lattice, vectors, lattice.bounds)
+            assert tuple(copy.cuts) == tuple(lattice.cuts)[::-1]
+            text = "".join(copy.json_chunks())
+            assert text == json.dumps(copy.to_json(), indent=2) + "\n"
+            assert text == dumped(copy)
         with pytest.raises(AttributeError):
             copy.cuts = tuple(copy.cuts)
 
@@ -678,6 +695,29 @@ class TestLatticeJsonChunks:
         cut_type = data.draw(st.sampled_from(types))
         lattice = enumerate_cut_lattice(quiver, cut_type)
         assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_cuts_act_as_tuple(quiver, lattice)
+
+    def test_a_vector_off_the_bounds_is_refused(self):
+        # 1/6(1,2,3), type (1,2,3): raising one coordinate of a vector by 2
+        # breaks the bound of some arrow at that vertex.
+        lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
+        vectors = [list(v) for v in lattice.v_vectors]
+        vectors[2][3] += 2
+        copy = rebuilt(lattice, vectors, lattice.bounds)
+        with pytest.raises(ValueError, match="leaves the seed cut's bounds"):
+            copy.cuts[2]
+        with pytest.raises(ValueError, match="leaves the seed cut's bounds"):
+            "".join(copy.json_chunks())
+
+    def test_a_mask_of_the_wrong_type_is_refused(self):
+        # Flipping bits 0 and 1, the arrows of types 1 and 2 out of vertex
+        # 0, changes the count of type 1.
+        lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
+        lattice.bounds.walked[lattice.v_vectors[1]] ^= 0b11
+        with pytest.raises(AssertionError):
+            lattice.cuts[1]
+        with pytest.raises(AssertionError):
+            "".join(lattice.json_chunks())
 
 
 @st.composite
@@ -720,6 +760,7 @@ class TestPackedWalk:
             (i, i + 1) for i in range(n)
         ]
         assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_cuts_act_as_tuple(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)
 
     def test_two_byte_vector_digits(self):
@@ -728,4 +769,5 @@ class TestPackedWalk:
         lattice = enumerate_cut_lattice(quiver, (1, 5, 124))
         assert len(lattice.v_vectors) == 130
         assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_cuts_act_as_tuple(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)
