@@ -26,7 +26,6 @@ from .intlat import (
 class Generator(_Value):
     order: int
     weights: Vec
-    _fields = _compare = ("order", "weights")
 
 
 class GroupSpec(_Value):
@@ -34,7 +33,6 @@ class GroupSpec(_Value):
 
     n: int
     generators: tuple[Generator, ...]
-    _fields = _compare = ("n", "generators")
 
     @classmethod
     def make(cls, n: int, generators) -> "GroupSpec":

@@ -99,7 +99,6 @@ class HeightFunction(_Record):
     embedding: LatticeEmbedding
     values: tuple[int, ...]
     l1_values: tuple[int, ...]
-    _fields = ("embedding", "values", "l1_values")
     _hidden = ("values",)
 
     def value_at(self, x) -> int:

@@ -33,8 +33,9 @@ Matrix = tuple[tuple[int, ...], ...]
 class _Record:
     """Base of the package's read-only records, compared by identity.
 
-    A subclass names its fields in ``_fields``; the constructor takes
-    them positionally or by keyword, and afterwards no attribute can be
+    A subclass declares its fields as class annotations, in order; names
+    starting with ``_`` are not fields.  The constructor takes them
+    positionally or by keyword, and afterwards no attribute can be
     assigned or deleted.  Fields named in ``_hidden`` stay out of the
     ``repr``.  The fields live in the instance ``__dict__``, so ``vars``,
     ``copy`` and ``pickle`` see them as on any plain object.
@@ -42,6 +43,10 @@ class _Record:
 
     _fields: tuple[str, ...] = ()
     _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = cls.__dict__.get("__annotations__", {})  # not the bases'
+        cls._fields = tuple(name for name in own if not name.startswith("_"))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -69,12 +74,13 @@ class _Record:
 
 
 class _Value(_Record):
-    """A record equal to one of its own class with equal ``_compare`` fields."""
+    """A record equal to one of its own class with equal ``_compare`` fields,
+    or with all fields equal when the class names none."""
 
     _compare: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compare)
+        return tuple(getattr(self, name) for name in self._compare or self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -279,7 +285,6 @@ class LatticeEmbedding(_Value):
     bprime: Matrix
     hnf: Matrix
     m: int
-    _fields = _compare = ("n", "bprime", "hnf", "m")
 
     @classmethod
     def from_basis(cls, rows) -> "LatticeEmbedding":

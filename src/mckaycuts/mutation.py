@@ -179,9 +179,6 @@ class MutationLattice(_Record):
     max_index: int
     min_index: int
     bounds: _Bounds
-    _fields = (
-        "cut_type", "v_vectors", "hasse_edges", "max_index", "min_index", "bounds"
-    )
     _hidden = ("bounds",)
 
     @property

@@ -45,7 +45,6 @@ class McKayQuiver(_Record):
     embedding: LatticeEmbedding
     vertices: tuple[Vec, ...]
     targets: tuple[tuple[int, ...], ...]
-    _fields = ("embedding", "vertices", "targets")
 
     @property
     def n(self) -> int:
@@ -163,7 +162,6 @@ class Cut(_Value):
 
     quiver: McKayQuiver
     arrows: frozenset[Arrow]
-    _fields = ("quiver", "arrows")
     _compare = ("arrows",)
 
     def sorted_arrows(self) -> tuple[Arrow, ...]:
@@ -195,7 +193,6 @@ class Subquiver(_Record):
 
     quiver: McKayQuiver
     arrows: tuple[Arrow, ...]
-    _fields = ("quiver", "arrows")
 
     def out_map(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.quiver.m)]

@@ -57,7 +57,6 @@ class TypeSimplexReport(_Value):
     positive_types: tuple[Vec, ...]
     vertices: tuple[Vec, ...]
     hollow: bool
-    _fields = _compare = ("all_types", "positive_types", "vertices", "hollow")
 
     def to_json(self) -> dict:
         return {

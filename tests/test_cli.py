@@ -29,6 +29,7 @@ from mckaycuts.heights import height_from_cut
 from mckaycuts.mutation import MutationLattice, enumerate_cut_lattice
 from mckaycuts.quiver import Cut, build_mckay, is_acyclic
 from mckaycuts.typesimplex import enumerate_types
+import record_golden
 from conftest import NAMED_SPECS, oracle_extremes
 from oracles import all_cuts_exhaustive
 
@@ -46,9 +47,10 @@ C300 = {"n": 6, "generators": [{"order": 300, "weights": [1, 2, 3, 4, 5, 6, 279]
 C300_TYPE = "1,2,3,4,5,6,279"
 # Nested too deeply for json to decode.
 DEEP_JSON = "[" * 100_000
-C300_CONSTRUCT_SHA256 = (
-    "376fd11844c7125cefd8618259946a9872203b02f26be19b05712d5b462e58cb"
-)
+GOLDEN = record_golden.load()
+C300_CONSTRUCT_SHA256 = record_golden.find_row(
+    GOLDEN, "c300", ["construct", "--type", C300_TYPE]
+)["sha256"]
 
 # Runs its arguments as a command and prints its exit code, the sha256 of
 # its stdout and its peak RSS in KiB (``ru_maxrss`` from ``wait4``, Linux).
@@ -760,9 +762,9 @@ class TestLatticeStreaming:
         assert proc.returncode == 0, proc.stderr
         code, digest, peak_kib = proc.stdout.split()
         assert code == "0"
-        assert digest == (
-            "253c76e3dee45c7cfaaa1f5a14eb41c564feeae9186a1559f499d2edb59bc77d"
-        )
+        assert digest == record_golden.find_row(
+            GOLDEN, "c30", ["lattice", "--type", "8,10,12"]
+        )["sha256"]
         assert int(peak_kib) < 64 * 1024
 
     @pytest.mark.parametrize("group, command, read", [
@@ -790,59 +792,29 @@ class TestLatticeStreaming:
         assert err == b""  # no traceback, no "Exception ignored" at exit
 
 
-def _half_11_cut(*arrows):
-    """A cut file for 1/2(1,1) from (source vertex, arrow type) pairs."""
-    return {
-        "type": [1, 1],
-        "arrows": [{"source": [v], "arrow_type": t} for v, t in arrows],
-    }
-
-
-# (group, extra `verify` arguments, cut file or None, exit code, sha256 of
-# stdout).  The digests pin every check name, status, detail and their
-# order, so a reworded detail or a reordered check shows here.
-VERIFY_STDOUT = {
-    **{
-        name: (NAMED_SPECS[name], [], None, 0, digest)
-        for name, digest in {
-            "fifth_1112": "0fb31f6db1e76799f6f103efb958a80a1e296bf3c690c6feef33ba6848778629",
-            "half_11": "3ab532630c642205e9198fdaa1d9fe55b78f30175934306fc4c0393c8351608b",
-            "klein_sl3": "31d48af1b3814b0cfca3456794275f7e48c3e3b44ba88f55bd0297c11c3fa8ba",
-            "quarter_1111": "e1da29cd1a55889198d2f4cbdf3412ce5ba27e242c220182d4e1f9cf01408520",
-            "quarter_112": "e63a652965b0fa119f664e38a1a0ab21ba645f431efe3fb2d6cba79aa5233b41",
-            "sixth_123": "76abf4ee31e609548cb6399ff2b91cc3a59b5f0d81cc893c2f0132bee031beeb",
-            "third_111": "56d407683ef1222f01c590ceb1204b27833205c77cff7b4f0e514b2572633344",
-        }.items()
-    },
-    "twelfth_129": (
-        (2, [(12, (1, 2, 9))]), [], None, 0,
-        "8942de0f977dde90a385fb0340f91b4e704523de903df402d56f26d5741ab859",
-    ),
-    "third_111_budget_0": (
-        NAMED_SPECS["third_111"], ["--budget", "0"], None, 0,
-        "d1ab0ee7ea072007925aa977ecdf329a5a018f109f699fb3d09628530662d0e3",
-    ),
-    "half_11_valid_cut": (
-        NAMED_SPECS["half_11"], [], _half_11_cut((1, 1), (1, 2)), 0,
-        "351ea1a55961ae2d0bec183bfe584a7c2ee121e60109e756faff6ca083133843",
-    ),
-    "half_11_corrupted_cut": (
-        NAMED_SPECS["half_11"], [], _half_11_cut((0, 1), (1, 2)), 1,
-        "fe3a850db35a1ec25b6bd69b61399441ec2125f5f577c3aebc5b94a831560865",
-    ),
+# `verify` cases of the golden table: (group, extra arguments, cut file).
+# Here the group and the cut are read from files, as a user passes them.
+VERIFY_ROWS = {
+    **{name: (name, [], None) for name in NAMED_SPECS},
+    "twelfth_129": ("c12", [], None),
+    "third_111_budget_0": ("third_111", ["--budget", "0"], None),
+    "half_11_valid_cut": ("half_11", [], "half_11_valid"),
+    "half_11_corrupted_cut": ("half_11", [], "half_11_corrupted"),
 }
 
 
 class TestVerify:
-    @pytest.mark.parametrize("case", sorted(VERIFY_STDOUT))
+    @pytest.mark.parametrize("case", sorted(VERIFY_ROWS))
     def test_stdout_digest(self, capsys, write_input, case):
-        (n, generators), extra, cut, exit_code, digest = VERIFY_STDOUT[case]
-        argv = ["--input", write_input(group_json(n, generators)), "verify", *extra]
+        group, extra, cut = VERIFY_ROWS[case]
+        argv = ["--input", write_input(GOLDEN["groups"][group]), "verify", *extra]
         if cut is not None:
-            argv += ["--cut", write_input(cut, name="cut.json")]
+            argv += ["--cut", write_input(GOLDEN["cuts"][cut], name="cut.json")]
+        row = record_golden.find_row(GOLDEN, group, ["verify", *extra], cut)
         code, out, _ = run_cli(capsys, argv)
-        assert code == exit_code
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            row["exit"], row["sha256"]
+        )
 
     def test_full_suite_passes(self, capsys, write_input):
         code, out, _ = run_cli(capsys, ["--input", write_input(THIRD), "verify"])
