@@ -12,15 +12,7 @@ import math
 import operator
 
 from .errors import NonFaithfulSpecError
-from .intlat import (
-    LatticeEmbedding,
-    Vec,
-    _Value,
-    hnf,
-    identity_matrix,
-    kernel_basis,
-    mat_mul,
-)
+from .intlat import LatticeEmbedding, Vec, _Value, hnf, identity_matrix
 
 
 class Generator(_Value):
@@ -64,14 +56,17 @@ def embedding_from_spec(spec: GroupSpec) -> LatticeEmbedding:
 
     L1 is the kernel of ``v -> (sum_i w_{j,i} v_i mod m_j)_j`` using the
     first n weights of each generator; the last weight is implied by the
-    SL condition.  It is cut out one generator at a time.  With H the
-    HNF basis of the lattice so far, ``x = H y`` meets the congruence of
-    a generator (r, w) exactly when ``(y, k)`` lies in the kernel of the
-    row ``[w H mod r, -r]`` for some k, which r determines, so the
-    kernel projects to a basis K of the y's and the next H is the HNF of
-    ``H K``.  An order-1 generator cuts nothing and is skipped.  Rejects
-    generating data whose direct-sum order disagrees with the resulting
-    lattice index.
+    SL condition.  It is cut out one generator at a time, by one HNF
+    each.  With H the HNF basis of the lattice L so far, the columns of
+    the bordered matrix ``B = [[H, 0], [w H mod r, r]]`` span
+    ``{(x, <w, x> + r k) : x in L, k in Z}`` for a generator (r, w).
+    The HNF of B is upper triangular, so its first n columns end in 0
+    and span exactly the points of that span with last entry 0, the
+    ``(x, 0)`` with x in L and ``<w, x> = 0 mod r``.  Their top n x n
+    block is upper triangular with reduced rows, so it is the HNF of the
+    next lattice, unique as every HNF is.  An order-1 generator cuts
+    nothing and is skipped.  Rejects generating data whose direct-sum
+    order disagrees with the resulting lattice index.
     """
     n = spec.n
     h = identity_matrix(n)
@@ -80,8 +75,8 @@ def embedding_from_spec(spec: GroupSpec) -> LatticeEmbedding:
         if r == 1:
             continue
         row = [sum(map(operator.mul, gen.weights, col)) % r for col in zip(*h)]
-        basis = kernel_basis(((*row, -r),))
-        h, _ = hnf(mat_mul(h, tuple(zip(*basis))[:n]))
+        bordered = (*(hrow + (0,) for hrow in h), (*row, r))
+        h = tuple(hrow[:n] for hrow in hnf(bordered)[0][:n])
     m = math.prod(h[i][i] for i in range(n))
     stated = math.prod(gen.order for gen in spec.generators)
     if stated != m:

@@ -102,13 +102,12 @@ class HeightFunction(_Record):
     _hidden = ("values",)
 
     def value_at(self, x) -> int:
-        """Evaluate at any lattice point via equivariance."""
-        x = tuple(map(operator.index, x))
-        rep = self.embedding.reduce(x)
-        coeffs = self.embedding.l1_coefficients(
-            tuple(a - b for a, b in zip(x, rep))
-        )
-        assert coeffs is not None
+        """Evaluate at any lattice point via equivariance.
+
+        One division ``x = hnf @ q + rep`` gives ``h(x) = h(rep) + sum_i
+        q_i * l1_values[i]``.
+        """
+        coeffs, rep = self.embedding._divide(x)
         return self.values[self.embedding.vertex(rep)] + sum(
             c * v for c, v in zip(coeffs, self.l1_values)
         )

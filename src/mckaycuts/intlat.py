@@ -4,7 +4,13 @@ Matrices are tuples of row tuples of Python ints, so all arithmetic is
 exact at any size.  The central object is :class:`LatticeEmbedding`: a
 cofinite sublattice of Z^n given by a basis matrix with positive
 determinant, held in a canonical column-style `Hermite normal form
-<https://en.wikipedia.org/wiki/Hermite_normal_form>`_.
+<https://en.wikipedia.org/wiki/Hermite_normal_form>`_.  Every path of
+the package runs on ``hnf`` alone: an embedding is an HNF, a group's
+lattice is cut out by one HNF per generator (see
+:func:`mckaycuts.groups.embedding_from_spec`), and coset arithmetic is
+one division by the HNF basis, ``LatticeEmbedding._divide``, whose
+remainder is ``reduce`` and whose quotient is ``l1_coefficients``.
+``snf`` is kept for callers of ``mckaycuts.snf``.
 
 Both normal forms are sequences of one unimodular 2 x 2 Euclid step on
 two rows or two columns, which turns the pair (a, b) in one coordinate
@@ -105,15 +111,6 @@ def as_matrix(rows) -> Matrix:
 
 def identity_matrix(k: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b or len(a[0]) != len(b):
-        raise ValueError("matrix dimension mismatch")
-    cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
 
 
 def det(m: Matrix) -> int:
@@ -242,35 +239,6 @@ def snf(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return s, tuple(tuple(row) for row in u), _from_columns(v_cols)
 
 
-def kernel_basis(m: Matrix) -> list[Vec]:
-    """Basis of the integer kernel ``{v : m @ v == 0}`` as column vectors."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    s, _, v = snf(m)
-    basis = []
-    for j in range(cols):
-        if j >= rows or s[j][j] == 0:
-            basis.append(tuple(v[i][j] for i in range(cols)))
-    return basis
-
-
-def _solve_upper(h: Matrix, y: Vec) -> Vec | None:
-    """Solve ``h @ v == y`` over Z for upper triangular h, or None."""
-    n = len(h)
-    rem = list(y)
-    v = [0] * n
-    for i in range(n - 1, -1, -1):
-        if rem[i] % h[i][i] != 0:
-            return None
-        q = rem[i] // h[i][i]
-        v[i] = q
-        for r in range(i + 1):
-            rem[r] -= q * h[r][i]
-    return tuple(v)
-
-
 class LatticeEmbedding(_Value):
     """A cofinite sublattice L1 of L0 = Z^n with ``[L0 : L1] = m``.
 
@@ -318,22 +286,30 @@ class LatticeEmbedding(_Value):
         if len(x) != self.n:
             raise ValueError(f"expected a vector of length {self.n}, got {len(x)}")
 
-    def reduce(self, x) -> Vec:
-        """Canonical representative of ``x + L1``.
+    def _divide(self, x) -> tuple[Vec, Vec]:
+        """``(q, rep)`` with ``x = hnf @ q + rep`` and rep in the HNF box.
 
         Back-substitution against the HNF basis from the last coordinate
-        upward; the result lies in the box ``prod_i [0, hnf[i][i])``, so
-        two vectors reduce equal exactly when they differ by L1.
+        upward: each q_i is the floor quotient of what is left in
+        coordinate i by ``hnf[i][i]``, so rep lies in the box ``prod_i
+        [0, hnf[i][i])``, one point per coset of L1.
         """
-        x = tuple(map(operator.index, x))
-        self._check_dim(x)
-        rem = list(x)
+        rem = list(map(operator.index, x))
+        self._check_dim(rem)
+        q = [0] * self.n
         for i in range(self.n - 1, -1, -1):
-            q = rem[i] // self.hnf[i][i]
-            if q:
+            q[i] = step = rem[i] // self.hnf[i][i]
+            if step:
                 for r in range(i + 1):
-                    rem[r] -= q * self.hnf[r][i]
-        return tuple(rem)
+                    rem[r] -= step * self.hnf[r][i]
+        return tuple(q), tuple(rem)
+
+    def reduce(self, x) -> Vec:
+        """Canonical representative of ``x + L1``, the remainder of ``_divide``.
+
+        Two vectors reduce equal exactly when they differ by L1.
+        """
+        return self._divide(x)[1]
 
     def fundamental_domain(self) -> tuple[Vec, ...]:
         """All m canonical representatives, in lexicographic order."""
@@ -353,10 +329,13 @@ class LatticeEmbedding(_Value):
         return vertex
 
     def l1_coefficients(self, y) -> Vec | None:
-        """Coefficients of ``y`` in the HNF basis, or None if ``y`` is not in L1."""
-        y = tuple(map(operator.index, y))
-        self._check_dim(y)
-        return _solve_upper(self.hnf, y)
+        """Coefficients of ``y`` in the HNF basis, or None if ``y`` is not in L1.
+
+        They are the quotient of ``_divide``, whose remainder is zero
+        exactly when ``y`` lies in L1.
+        """
+        q, rep = self._divide(y)
+        return None if any(rep) else q
 
     def in_sublattice(self, x) -> bool:
         return self.l1_coefficients(x) is not None

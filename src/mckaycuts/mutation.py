@@ -36,13 +36,14 @@ vertices.  The walk keeps each cut as its packed vector above its mask,
 so a rise is one addition.  The mask is the cut: ``_Bounds.held`` is
 the one place a v-vector becomes a cut, and it checks the cut's type
 once.  It returns the walk's mask for a vector the walk reached and
-reads any other off the vector's slacks, the arrows whose difference
-is at its lower bound.  The lattice JSON reads each cut's arrows off
-that mask, a table of arrow texts per byte, and ``_Bounds.cut`` reads a
-``Cut`` off it.  The vectors are the lattice: it keeps no cut, and
-``MutationLattice.cuts`` is a read-only property, a sequence that reads
-each cut off its vector's mask when it is accessed, so it holds the
-same arrows that the ``lattice`` command prints.
+reads any other off the step check of its potential ``xi + m * v``,
+which cuts the arrows whose difference is at its lower bound.  The
+lattice JSON reads each cut's arrows off that mask, a table of arrow
+texts per byte, and ``_Bounds.cut`` reads a ``Cut`` off it.  The
+vectors are the lattice: it keeps no cut, and ``MutationLattice.cuts``
+is a read-only property, a sequence that reads each cut off its
+vector's mask when it is accessed, so it holds the same arrows that the
+``lattice`` command prints.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -162,7 +163,8 @@ class MutationLattice(_Record):
     mask of each.  Both ``cuts`` and ``json_chunks`` read a cut off its
     vector's mask (``bounds.held``), so they give the same arrows; a
     copy made with other vectors reads off their cuts, through the
-    walk's masks or, for a vector it never reached, through the slacks.
+    walk's masks or, for a vector it never reached, through the step
+    check.
     ``hasse_edges`` are the covers as (lower index, upper index, vertex)
     triples, the vertex being the first of the class that moves (for a
     positive type, the vertex mutated).  ``to_json`` builds the JSON
@@ -317,9 +319,9 @@ class _Bounds:
     mask, and the one place a cut's type is checked.  ``walked`` maps
     each vector the lattice walk reached to the walk's int for it, whose
     low ``m * slot`` bits (``all_bits``) are the mask; any other
-    vector's mask is read off its slacks.  ``cut(v)`` is the ``Cut`` of
-    that mask, so a lattice's ``cuts`` and its printed JSON read the
-    same masks.
+    vector's mask is read off the step check of its potential.
+    ``cut(v)`` is the ``Cut`` of that mask, so a lattice's ``cuts`` and
+    its printed JSON read the same masks.
 
     A class is a connected component of the arrows whose type has count
     0; s holds none of them and no cut does, so v is constant on each
@@ -334,6 +336,7 @@ class _Bounds:
         m, k = quiver.m, quiver.n + 1
         self.quiver = quiver
         self.cut_type = cut_type
+        self.xi = xi
         self.arrows = [
             (u, t, w, (xi[u] + g) // m - 1)
             for u, row in enumerate(quiver.targets)
@@ -408,23 +411,22 @@ class _Bounds:
         """The mask of the arrows the cut of v holds, its type checked.
 
         This is the one place a v-vector becomes a cut.  A vector the
-        walk reached has its mask in ``walked``; any other is read off
-        its slacks ``v[w] - v[u] - low``, one pass over ``arrows``, the
-        cut holding the arrows of slack 0.  Raises ValueError when a
-        slack is neither 0 nor 1, that is, when v belongs to no cut of
+        walk reached has its mask in ``walked``; any other is the cut of
+        the potential ``xi + m * v``, read off the one step check
+        ``_cut_steps``.  Along an arrow (u, t, w, low) that potential
+        steps by ``type_t + m * (slack - 1)``, the slack being ``v[w] -
+        v[u] - low``, so slack 0 is a cut step, slack 1 an uncut one,
+        and any other slack raises ValueError: v belongs to no cut of
         the type.  The mask's popcount on each of ``type_masks`` must be
         the type's count.
         """
         v = tuple(v)
         mask = self.walked.get(v)
         if mask is None:
-            mask = 0
-            for bit, (u, _, w, low) in zip(self.bits, self.arrows):
-                slack = v[w] - v[u] - low
-                if not slack:
-                    mask |= bit
-                elif slack != 1:
-                    raise ValueError(f"{v} leaves the seed cut's bounds")
+            m, slot = self.quiver.m, self.slot
+            potential = [x + m * d for x, d in zip(self.xi, v)]
+            steps = _cut_steps(self.quiver, self.cut_type, potential)
+            mask = sum(1 << slot * u + t - 1 for u, t in steps)
         else:
             mask &= self.all_bits
         counts = tuple(map(int.bit_count, map(mask.__and__, self.type_masks)))

@@ -136,7 +136,9 @@ def first_violated_cycle(
     return None
 
 
-def _violation(quiver: McKayQuiver, members: frozenset[Arrow]) -> str | None:
+def first_cut_violation(quiver: McKayQuiver, arrows) -> str | None:
+    """Human-readable description of the first violated cycle, if any."""
+    members = check_arrows(quiver, arrows)
     found = first_violated_cycle(quiver.elementary_cycles(), members)
     if found is None:
         return None
@@ -148,13 +150,7 @@ def _violation(quiver: McKayQuiver, members: frozenset[Arrow]) -> str | None:
 
 def is_cut(quiver: McKayQuiver, arrows) -> bool:
     """True when every elementary cycle meets the arrow set exactly once."""
-    members = check_arrows(quiver, arrows)
-    return first_violated_cycle(quiver.elementary_cycles(), members) is None
-
-
-def first_cut_violation(quiver: McKayQuiver, arrows) -> str | None:
-    """Human-readable description of the first violated cycle, if any."""
-    return _violation(quiver, check_arrows(quiver, arrows))
+    return first_cut_violation(quiver, arrows) is None
 
 
 class Cut(_Value):
@@ -174,7 +170,7 @@ class Cut(_Value):
 def make_cut(quiver: McKayQuiver, arrows) -> Cut:
     """Validating constructor; raises NotACutError on a bad arrow set."""
     members = check_arrows(quiver, arrows)
-    violation = _violation(quiver, members)
+    violation = first_cut_violation(quiver, members)
     if violation is not None:
         raise NotACutError(violation)
     return Cut(quiver=quiver, arrows=members)

@@ -7,9 +7,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from mckaycuts.errors import NonFaithfulSpecError
 from mckaycuts.groups import GroupSpec, embedding_from_spec, group_order, parse_input
+from mckaycuts.intlat import as_matrix, hnf, identity_matrix, snf
 from oracles import in_lattice
 
 
@@ -31,6 +33,37 @@ def killed(generators, p):
         sum(w * c for w, c in zip(weights, p)) % order == 0
         for order, weights in generators
     )
+
+
+def smith_route(n, generators):
+    """The HNF after each generator, cut out through Smith normal forms.
+
+    With H the HNF so far, x = H y meets the congruence of (r, w) exactly
+    when (y, k) lies in the integer kernel of the row [w H mod r, -r] for
+    some k.  That row is nonzero, so the last n columns of the V of its
+    Smith form span the kernel; their first n entries, K, span the y's,
+    and the next HNF is that of H K.  Yields H after every generator.
+    """
+    h = identity_matrix(n)
+    for r, weights in generators:
+        if r > 1:
+            row = [sum(w * c for w, c in zip(weights, col)) % r for col in zip(*h)]
+            _, _, v = snf(((*row, -r),))
+            kernel = Matrix([v[i][1:] for i in range(n)])
+            h = hnf(as_matrix((Matrix(h) * kernel).tolist()))[0]
+        yield h
+
+
+@st.composite
+def many_generators(draw):
+    """(n, generators) with n <= 6 and 1-8 generators of order <= 40."""
+    n = draw(st.integers(1, 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.integers(1, 40))
+        head = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
+        gens.append((order, (*head, -sum(head) % order)))
+    return n, gens
 
 
 @st.composite
@@ -149,6 +182,22 @@ class TestEmbeddingFromSpec:
         assert emb.m == index
         # n columns in K spanning a sublattice of index m span all of K.
         assert all(killed(generators, col) for col in zip(*emb.hnf))
+
+    @settings(max_examples=150, deadline=None)
+    @given(many_generators())
+    def test_bordered_hnf_matches_the_smith_route(self, drawn):
+        # Every prefix of the generators is checked: the two routes give
+        # the same HNF while the prefix is faithful, and both refuse it
+        # once it is not.
+        n, generators = drawn
+        for k, h in enumerate(smith_route(n, generators), 1):
+            spec = GroupSpec.make(n, generators[:k])
+            stated = math.prod(order for order, _ in generators[:k])
+            if stated != math.prod(h[i][i] for i in range(n)):
+                with pytest.raises(NonFaithfulSpecError):
+                    embedding_from_spec(spec)
+                return
+            assert embedding_from_spec(spec).hnf == h
 
     def test_coprime_power_keeps_embedding(self):
         rng = random.Random(7)

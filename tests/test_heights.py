@@ -1,9 +1,12 @@
 """Cut <-> height function bijection and height arithmetic."""
 
 import gc
+import operator
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mckaycuts.construct import construct_cut
 from mckaycuts.groups import GroupSpec, embedding_from_spec
@@ -14,7 +17,7 @@ from mckaycuts.heights import (
     height_from_cut,
     types_equal_iff_h_equal,
 )
-from mckaycuts.intlat import LatticeEmbedding
+from mckaycuts.intlat import LatticeEmbedding, det
 from mckaycuts.quiver import build_mckay, is_cut, make_cut, type_of
 from mckaycuts.typesimplex import enumerate_types, monomial_degree
 from conftest import instance
@@ -264,6 +267,49 @@ class TestTypesEqualIffHEqual:
         for a in types:
             for b in types:
                 assert types_equal_iff_h_equal(emb, a, b) == (a == b)
+
+
+@st.composite
+def heights_and_points(draw):
+    """A height function, two vectors x and c, and a nonzero coset
+    representative (None when m = 1).
+
+    The lattice has a random basis with n <= 3, entries in [-3, 3] and
+    index at most 40; the height function is that of the constructed cut
+    of a random admissible type.
+    """
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    index = det(rows)
+    assume(1 <= abs(index) <= 40)
+    if index < 0:
+        rows = [[-r[0], *r[1:]] for r in rows]
+    emb = LatticeEmbedding.from_basis(rows)
+    quiver = build_mckay(emb)
+    cut_type = draw(st.sampled_from(enumerate_types(emb).all_types))
+    height = height_from_cut(quiver, construct_cut(quiver, cut_type))
+    vector = st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple)
+    rep = draw(st.sampled_from(emb.fundamental_domain()[1:])) if emb.m > 1 else None
+    return height, draw(vector), draw(vector), rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(heights_and_points())
+def test_one_division_serves_membership_and_equivariance(drawn):
+    # x = H c + rep: the quotient of the division is c exactly when rep is
+    # 0, and the height function adds the L1 values weighted by c.
+    height, x, c, rep = drawn
+    emb = height.embedding
+    lattice_point = tuple(sum(map(operator.mul, row, c)) for row in emb.hnf)
+    assert emb.l1_coefficients(lattice_point) == c
+    if rep is not None:
+        off = tuple(map(operator.add, lattice_point, rep))
+        assert emb.l1_coefficients(off) is None
+        assert not emb.in_sublattice(off)
+    shifted = tuple(map(operator.add, x, lattice_point))
+    step = sum(map(operator.mul, c, height.l1_values))
+    assert height.value_at(shifted) == height.value_at(x) + step
 
 
 def _third_height():

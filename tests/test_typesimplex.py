@@ -6,10 +6,11 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from mckaycuts.errors import NonFaithfulSpecError
 from mckaycuts.groups import GroupSpec, embedding_from_spec
-from mckaycuts.intlat import LatticeEmbedding, mat_mul
+from mckaycuts.intlat import LatticeEmbedding
 from mckaycuts.typesimplex import (
     enumerate_types,
     has_preprojective_cut,
@@ -92,7 +93,8 @@ class TestEnumerateTypes:
             report = enumerate_types(emb)
             for _ in range(5):
                 u = random_unimodular(emb.n, rng)
-                other = LatticeEmbedding.from_basis(mat_mul(emb.bprime, u))
+                basis = (Matrix(emb.bprime) * Matrix(u)).tolist()
+                other = LatticeEmbedding.from_basis(basis)
                 other_report = enumerate_types(other)
                 assert other_report.hollow == report.hollow
                 assert other_report.all_types == report.all_types
@@ -133,7 +135,8 @@ class TestCongruenceStep:
     def test_matches_brute_force_on_other_bases(self, rng):
         emb = random_group(rng)
         u = random_unimodular(emb.n, rng) if emb.n > 1 else ((1,),)
-        other = LatticeEmbedding.from_basis(mat_mul(emb.bprime, u))
+        basis = (Matrix(emb.bprime) * Matrix(u)).tolist()
+        other = LatticeEmbedding.from_basis(basis)
         assert list(enumerate_types(other).all_types) == brute_force_types(other)
 
     @pytest.mark.parametrize(
