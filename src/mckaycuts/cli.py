@@ -5,7 +5,10 @@ export-dot.  Input is a JSON group description via --input or stdin.
 Exit codes: 0 ok, 1 verification failures, 2 malformed input, 3
 unsupported size, 4 inadmissible type, 5 an ``extremes`` maximum that
 failed certification (the path bound in ``max_via_p`` says it never does),
-141 stdout closed by its reader before the output was written.
+141 stdout closed by its reader before the output was written.  A
+refusal gives a number past 2,048 bits by its size (``m = a 14610-bit
+number``), since Python refuses the decimal text of an int past its
+digit limit, so a group order of thousands of digits still exits 3.
 
 Each subcommand registers its handler, and whether it takes ``--type``,
 in ``build_parser``.  ``main`` reads the input and the type once for
@@ -33,7 +36,7 @@ from .construct import (
     degree_zero_presentation,
 )
 from .errors import InadmissibleTypeError, SearchBoundExceededError
-from .groups import parse_input
+from .groups import _number_text, parse_input
 from .heights import height_from_cut
 from .mutation import enumerate_cut_lattice, max_element, max_via_p, min_element
 from .quiver import build_mckay, is_acyclic, quiver_to_dot, type_of
@@ -93,7 +96,8 @@ def _load(args) -> tuple:
     if embedding.m > args.max_m:
         raise _CliError(
             EXIT_SIZE,
-            f"unsupported size: m = {embedding.m} (limit: m <= {args.max_m})",
+            f"unsupported size: m = {_number_text(embedding.m)}"
+            f" (limit: m <= {args.max_m})",
         )
     return embedding, spec
 

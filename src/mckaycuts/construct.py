@@ -14,6 +14,7 @@ type is measured against this one, the seed of the lattice walk in
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from .groups import _json_int, _json_list
@@ -50,22 +51,17 @@ def degree_zero_presentation(
     """Cut quiver plus the commutativity squares that survive the cut.
 
     Each surviving relation is returned as the four arrows
-    ``(a_i, a_j, b_j, b_i)`` with ``a_i a_j = b_j b_i``, kept only when
-    none of the four is a cut arrow.  Together with the cut quiver this
-    presents the degree-zero part of the graded algebra.
+    ``(a_i, a_j, b_j, b_i)`` with ``a_i a_j = b_j b_i``, for a vertex v
+    and types i < j in that order, kept only when none of the four is a
+    cut arrow.  Together with the cut quiver this presents the
+    degree-zero part of the graded algebra.
     """
     relations = []
-    for v in range(quiver.m):
-        for i in quiver.types:
-            for j in quiver.types:
-                if i >= j:
-                    continue
-                a_i = (v, i)
-                a_j = (quiver.target(v, i), j)
-                b_j = (v, j)
-                b_i = (quiver.target(v, j), i)
-                if all(a not in cut.arrows for a in (a_i, a_j, b_j, b_i)):
-                    relations.append((a_i, a_j, b_j, b_i))
+    for v, row in enumerate(quiver.targets):
+        for i, j in combinations(quiver.types, 2):
+            square = ((v, i), (row[i - 1], j), (v, j), (row[j - 1], i))
+            if cut.arrows.isdisjoint(square):
+                relations.append(square)
     return cut_quiver(quiver, cut), tuple(relations)
 
 

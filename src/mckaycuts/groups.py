@@ -81,8 +81,8 @@ def embedding_from_spec(spec: GroupSpec) -> LatticeEmbedding:
     stated = math.prod(gen.order for gen in spec.generators)
     if stated != m:
         raise NonFaithfulSpecError(
-            "non-faithful or redundant generating data: "
-            f"stated group order {stated}, lattice index {m}"
+            "non-faithful or redundant generating data: stated group order "
+            f"{_number_text(stated)}, lattice index {_number_text(m)}"
         )
     return LatticeEmbedding(n=n, bprime=h, hnf=h, m=m)
 
@@ -90,6 +90,18 @@ def embedding_from_spec(spec: GroupSpec) -> LatticeEmbedding:
 def group_order(spec: GroupSpec) -> int:
     """Index of the kernel lattice, i.e. the group order."""
     return embedding_from_spec(spec).m
+
+
+def _number_text(number: int) -> str:
+    """The decimal text of a number, or its size where that text is long.
+
+    Up to 2,048 bits (617 digits) this is ``str(number)``; a longer
+    number reads as "a 5000-bit number", since Python refuses the
+    decimal text of an int past its digit limit (4,300 digits by
+    default, 640 at the least), and an error message must not raise.
+    """
+    bits = abs(number).bit_length()
+    return str(number) if bits <= 2048 else f"a {bits}-bit number"
 
 
 def _json_int(value, field: str) -> int:

@@ -33,7 +33,9 @@ most significant, so that int order is lexicographic order.  Digits
 never carry, because |v[x]| <= m - 1: v[0] = 0, v changes by at most 1
 along each arrow, and the quiver is strongly connected with m
 vertices.  The walk keeps each cut as its packed vector above its mask,
-so a rise is one addition.  The mask is the cut: ``_Bounds.held`` is
+so a rise is one addition.  It records only the ints it reaches; the
+Hasse edges are read back off the sorted ints with the same AND, and
+come out in order.  The mask is the cut: ``_Bounds.held`` is
 the one place a v-vector becomes a cut, and it checks the cut's type
 once.  It returns the walk's mask for a vector the walk reached and
 reads any other off the step check of its potential ``xi + m * v``,
@@ -509,23 +511,29 @@ def _walk_lattice(bounds: _Bounds):
     out-arrows in, so it adds the class's constant ``step``, and no
     carry crosses from one digit or mask bit to the next.
 
+    The climb records only the ints it has seen.  Sorting them numbers
+    the cuts, and one pass over the sorted cuts then reads every cover
+    back with the same AND: from cut i, each class that can rise gives
+    the Hasse edge (i, index of ``cut + step``, first vertex of the
+    class).  The pass writes the edges already sorted.  For one lower
+    end, a class with a smaller first vertex has the larger ``ones``,
+    since vertex 0 is the most significant digit, the classes are
+    disjoint and digits never carry; a step's mask part ``out - into``
+    lies below the ``low`` bits, so the vector part orders the upper
+    ends.  Taking the classes from last to first thus gives increasing
+    upper ends, and no (lower, upper) pair comes from two classes.
+
     Returns the sorted vectors, the walk's int of each in that order and
     the sorted Hasse edges (lower index, upper index, first vertex of the
-    class).  Each rise is recorded once, from its lower end, and popped
-    as its edge is numbered through the walk's own dict, so the rises
-    and the edges are never held in full together.
+    class).
     """
     m = bounds.quiver.m
     size = -(-(2 * m).bit_length() // 8)
     low = m * bounds.slot
     moves = []
-    rises = []
-    for members, into, out in bounds.classes():
+    for members, into, out in reversed(bounds.classes()):
         ones = sum(1 << 8 * size * (m - 1 - x) for x in members)
-        step = (ones << low) + out - into
-        lowers: list[int] = []
-        moves.append((into | out, into, step, lowers))
-        rises.append((step, members[0], lowers))
+        moves.append((into | out, into, (ones << low) + out - into, members[0]))
     bottom = bounds.extreme(-1)
     start = int.from_bytes(
         b"".join((x + m).to_bytes(size, "big") for x in bottom), "big"
@@ -535,9 +543,8 @@ def _walk_lattice(bounds: _Bounds):
     stack = [start]
     while stack:
         cut = stack.pop()
-        for flip, into, step, lowers in moves:
+        for flip, into, step, _ in moves:
             if cut & flip == into:
-                lowers.append(cut)
                 moved = cut + step
                 if moved not in seen:
                     seen[moved] = None
@@ -546,12 +553,11 @@ def _walk_lattice(bounds: _Bounds):
     for i, cut in enumerate(packed):
         seen[cut] = i
     edges = []
-    for step, vertex, lowers in rises:
-        while lowers:
-            lower = lowers.pop()
-            edges.append((seen[lower], seen[lower + step], vertex))
+    for i, cut in enumerate(packed):
+        for flip, into, step, vertex in moves:
+            if cut & flip == into:
+                edges.append((i, seen[cut + step], vertex))
     del seen
-    edges.sort()
     # One int object per value, shared by every vector.
     values = [x - m for x in range(2 * m)]
     width = m * size + low // 8
@@ -601,11 +607,17 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     bottom (:meth:`_Bounds.extreme`) by a chain of single class rises,
     and the climb of :func:`_walk_lattice` from the bottom reaches every
     cut.  It works on each cut's mask and packed vector; no height
-    function is computed.
+    function is computed.  The climb keeps only the cuts it has seen;
+    sorting them numbers the cuts, and one pass over the sorted cuts
+    reads every cover back with the AND that found it.
 
-    Each cover is a Hasse edge, labelled by the first vertex of the
-    class that moved.  For a positive type each class is one vertex and
-    its moves are the mutations at nonzero sources and sinks.
+    Each cover is a Hasse edge (lower index, upper index), labelled by
+    the first vertex of the class that moved.  The edges come out in
+    that order with no sort: for one lower end, a class with a smaller
+    first vertex adds more to the packed vector, so taking the classes
+    from last to first gives increasing upper ends.  For a positive type
+    each class is one vertex and its moves are the mutations at nonzero
+    sources and sinks.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)

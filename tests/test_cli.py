@@ -307,6 +307,37 @@ class TestErrorPaths:
         assert code == 3
         assert "unsupported size" in err
 
+    @pytest.mark.parametrize(
+        "generators, code, err",
+        [
+            # Faithful, with m about 10^4398: past Python's 4,300-digit
+            # limit for printing an int.
+            (
+                [
+                    {"order": 10**2199 + 3, "weights": [1, 10**2199 + 2, 0]},
+                    {"order": 10**2199 + 1, "weights": [1, 0, 10**2199]},
+                ],
+                3,
+                "unsupported size: m = a 14610-bit number (limit: m <= 5000)",
+            ),
+            # Stated order 40^3000, about 4,806 digits.
+            (
+                [{"order": 40, "weights": [1, 1, 38]}] * 3000,
+                2,
+                "non-faithful or redundant generating data: stated group order"
+                " a 15966-bit number, lattice index 40",
+            ),
+        ],
+        ids=["4400_digit_order", "3000_redundant"],
+    )
+    def test_refusals_give_the_size_of_a_long_number(
+        self, capsys, write_input, generators, code, err
+    ):
+        group = {"n": 2, "generators": generators}
+        got, out, stderr = run_cli(capsys, ["--input", write_input(group), "types"])
+        assert (got, out) == (code, "")
+        assert err in stderr
+
     def test_large_n_refused_before_the_basis_is_built(self, write_input):
         # Building and reducing the 1000 x 1000 basis takes over a minute.
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

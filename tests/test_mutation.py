@@ -345,6 +345,9 @@ class TestEnumerateLattice:
                 seed = construct_cut(quiver, cut_type)
                 for cut, vec in zip(lattice.cuts, lattice.v_vectors):
                     assert vec == relative_height_vector(cut, seed), cut_type
+                # The walk writes its edges in order and never sorts them.
+                edges = lattice.hasse_edges
+                assert edges == tuple(sorted(edges)), cut_type
                 n_cuts += len(lattice.cuts)
         assert n_cuts == 31_314
 
@@ -737,6 +740,7 @@ def assert_walk_matches_oracle(quiver, lattice):
     seed = construct_cut(quiver, lattice.cut_type).arrows
     vectors, edges = walk_lattice_by_slacks(quiver, lattice.cut_type, seed)
     assert lattice.v_vectors == vectors
+    assert lattice.hasse_edges == tuple(sorted(lattice.hasse_edges))
     assert lattice.hasse_edges == edges
 
 
