@@ -39,7 +39,7 @@ from .errors import InadmissibleTypeError, SearchBoundExceededError
 from .groups import _number_text, parse_input
 from .heights import height_from_cut
 from .mutation import enumerate_cut_lattice, max_element, max_via_p, min_element
-from .quiver import build_mckay, is_acyclic, quiver_to_dot, type_of
+from .quiver import build_mckay, is_acyclic, quiver_to_dot
 from .typesimplex import enumerate_types, require_admissible
 from .verify import run_verification
 
@@ -166,14 +166,16 @@ def _cmd_construct(args, embedding, spec) -> int:
 
 
 def _construct_chunks(quiver, cut):
-    """Yield the ``construct`` JSON in pieces, about one arrow at a time.
+    """Yield the ``construct`` JSON in pieces.
 
-    The text is that of ``json.dumps(tree, indent=2) + "\\n"`` for the
+    The cut and its height function come out in one piece each, then the
+    degree-zero arrows and squares about one arrow at a time.  The text is that of ``json.dumps(tree, indent=2) + "\\n"`` for the
     tree of the cut (``cut_to_json``), its height function, the
-    degree-zero presentation and whether it is acyclic, but no tree is
-    built.  Every arrow is written once at depth 3, as a cut arrow or as
-    an arrow of the cut quiver; the arrows of the relation squares sit at
-    depth 4 and recur, so each of their texts is encoded once and reused.
+    degree-zero presentation and whether it is acyclic, but of that tree
+    only the cut's and the height function's parts are built.  Every
+    arrow is written once at depth 3, as a cut arrow or as an arrow of
+    the cut quiver; the arrows of the relation squares sit at depth 4 and
+    recur, so each of their texts is encoded once and reused.
     """
     sub, relations = degree_zero_presentation(quiver, cut)
 
@@ -181,12 +183,8 @@ def _construct_chunks(quiver, cut):
         return lambda arrow: _indented(_arrow_json(quiver, *arrow), depth)
 
     square_arrow = cache(arrow_text(4))
-    yield (
-        '{\n  "cut": {\n    "type": ' + _indented(type_of(cut), 2)
-        + ',\n    "arrows": '
-    )
-    yield from _json_array(map(arrow_text(3), cut.sorted_arrows()), 2)
-    yield '\n  },\n  "height": ' + _indented(height_from_cut(quiver, cut).to_json(), 1)
+    yield '{\n  "cut": ' + _indented(cut_to_json(cut), 1)
+    yield ',\n  "height": ' + _indented(height_from_cut(quiver, cut).to_json(), 1)
     yield ',\n  "degree_zero": {\n    "arrows": '
     yield from _json_array(map(arrow_text(3), sub.arrows), 2)
     yield ',\n    "relations": '

@@ -29,19 +29,18 @@ move is ``held ^ flip``: one AND decides each move.  The walk starts at
 the bottom of the lattice, one shortest-path pass as for
 ``min_element``, and only rises.  Each v-vector is packed into one int,
 the digit ``v[x] + m`` of each vertex in whole bytes with vertex 0 the
-most significant, so that int order is lexicographic order.  Digits
-never carry, because |v[x]| <= m - 1: v[0] = 0, v changes by at most 1
-along each arrow, and the quiver is strongly connected with m
-vertices.  The walk keeps each cut as its packed vector above its mask,
-so a rise is one addition.  It records only the ints it reaches; the
-Hasse edges are read back off the sorted ints with the same AND, and
-come out in order.  The mask is the cut: ``_Bounds.held`` is
-the one place a v-vector becomes a cut, and it checks the cut's type
-once.  It returns the walk's mask for a vector the walk reached and
-reads any other off the step check of its potential ``xi + m * v``,
-which cuts the arrows whose difference is at its lower bound.  The
-lattice JSON reads each cut's arrows off that mask, a table of arrow
-texts per byte, and ``_Bounds.cut`` reads a ``Cut`` off it.  The
+most significant, so that int order is lexicographic order; digits
+never carry (``_walk_lattice`` says why).  The walk keeps each cut as
+its packed vector above its mask, so a rise is one addition.  It
+records only the ints it reaches; the Hasse edges are read back off the
+sorted ints with the same AND, and come out in order with no sort (see
+``_walk_lattice``).  The mask is the cut: ``_Bounds.held`` is the one
+place a v-vector becomes a cut, and it checks the cut's type once.  It
+returns the walk's mask for a vector the walk reached and reads any
+other off the step check of its potential ``xi + m * v``, which cuts
+the arrows whose difference is at its lower bound.  The lattice JSON
+reads each cut's arrows off that mask, a table of arrow texts per
+byte, and ``_Bounds.cut`` reads a ``Cut`` off it.  The
 vectors are the lattice: it keeps no cut, and ``MutationLattice.cuts``
 is a read-only property, a sequence that reads each cut off its
 vector's mask when it is accessed, so it holds the same arrows that the
@@ -607,17 +606,13 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     bottom (:meth:`_Bounds.extreme`) by a chain of single class rises,
     and the climb of :func:`_walk_lattice` from the bottom reaches every
     cut.  It works on each cut's mask and packed vector; no height
-    function is computed.  The climb keeps only the cuts it has seen;
-    sorting them numbers the cuts, and one pass over the sorted cuts
-    reads every cover back with the AND that found it.
+    function is computed.
 
     Each cover is a Hasse edge (lower index, upper index), labelled by
-    the first vertex of the class that moved.  The edges come out in
-    that order with no sort: for one lower end, a class with a smaller
-    first vertex adds more to the packed vector, so taking the classes
-    from last to first gives increasing upper ends.  For a positive type
-    each class is one vertex and its moves are the mutations at nonzero
-    sources and sinks.
+    the first vertex of the class that moved, read back off the sorted
+    cuts in that order with no sort (:func:`_walk_lattice` says why).
+    For a positive type each class is one vertex and its moves are the
+    mutations at nonzero sources and sinks.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)

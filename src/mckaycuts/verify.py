@@ -2,12 +2,13 @@
 
 ``run_verification`` builds the shared inputs once: the quiver, the type
 simplex, a constructed cut per type and, when m <= budget, the
-exhaustive subset oracle, one ``brute_force_cuts_of_type`` call per
-simplex point.  One runner then works through a list of checks.  Each
-check is a module-level function named after its report entry; it
-returns its detail string or raises, and the runner reports ``pass``
-with the detail, ``fail`` with ``Type: message``, or ``skipped`` with
-the reason.  The checks, in report order, and when each is left out:
+exhaustive subset oracle: one pass of ``brute_force_cuts`` over the
+arrow sets of size m, which buckets every cut by its type.  One runner
+then works through a list of checks.  Each check is a module-level
+function named after its report entry; it returns its detail string or
+raises, and the runner reports ``pass`` with the detail, ``fail`` with
+``Type: message``, or ``skipped`` with the reason.  The checks, in
+report order, and when each is left out:
 
     embedding_canonical_form          always run
     quiver_regularity                 always run
@@ -26,12 +27,13 @@ Only ``divisibility_conditions_complete`` is ever reported ``skipped``.
 Over budget the other checks that read the oracle lose part of their
 input without notice: the round-trip and acyclicity checks see only
 the constructed cuts, and each lattice check drops its "matches subset
-oracle" comparison (and that phrase from its detail).  The harness is
-what the ``verify`` CLI subcommand runs, and doubles as a self-test for
-user-provided cut files.
-
-The exhaustive subset search, ``brute_force_cuts_of_type``, lives here:
-the oracle and the divisibility check are its only callers.
+oracle" comparison (and that phrase from its detail).  Within budget the
+buckets feed every check that reads the oracle: the divisibility check
+asserts that each type with a cut is admissible, the round-trip and
+acyclicity checks take every cut found, and each lattice check compares
+its cuts with its type's bucket, which is empty if the search found no
+cut of that type.  The harness is what the ``verify`` CLI subcommand
+runs, and doubles as a self-test for user-provided cut files.
 
 The mutation-lattice check works on v-vectors: each cut's relative
 height must match its vector and each Hasse edge must be a unit step
@@ -52,12 +54,12 @@ integer operations.
 from __future__ import annotations
 
 import operator
-from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from itertools import chain, combinations
+from math import comb, factorial
 
 from .construct import construct_cut
 from .groups import GroupSpec
-from .heights import cut_from_height, h_gamma, height_from_cut
+from .heights import cut_from_height, height_from_cut
 from .intlat import LatticeEmbedding
 from .mutation import (
     enumerate_cut_lattice,
@@ -89,34 +91,24 @@ from .typesimplex import (
 )
 
 
-def _simplex_points(n: int, m: int):
-    """All nonnegative (n+1)-vectors summing to m."""
-    for bars in combinations_with_replacement(range(m + 1), n):
-        cuts = (0, *bars, m)
-        yield tuple(cuts[i + 1] - cuts[i] for i in range(n + 1))
+def brute_force_cuts(quiver: McKayQuiver) -> dict[tuple[int, ...], list[Cut]]:
+    """Every cut, by exhaustive search over arrow sets, bucketed by type.
 
-
-def brute_force_cuts_of_type(quiver: McKayQuiver, cut_type) -> list[Cut]:
-    """Exhaustive search over arrow subsets with the given type counts.
-
-    Works for any nonnegative counts summing to m, admissible or not;
-    for inadmissible counts the result is provably empty, which is what
-    the harness checks.  The elementary cycles are walked once per call
-    and every candidate subset is tested against them.
+    Each arrow lies on n! of the m * n! elementary cycles, so a cut, which
+    meets each cycle once, has exactly m arrows.  The cycles are walked
+    once and each of the C((n+1)m, m) sets of m arrows is tested against
+    them.  By Vandermonde's identity these are the sets with type counts
+    gamma, over every point gamma of the simplex, admissible or not: an
+    inadmissible point is a type with no bucket, which is what the
+    harness checks.
     """
-    cut_type = tuple(map(operator.index, cut_type))
-    by_type = [
-        [(v, t) for v in range(quiver.m)] for t in quiver.types
-    ]
-    pools = [
-        list(combinations(by_type[t - 1], cut_type[t - 1])) for t in quiver.types
-    ]
     cycles = tuple(quiver.elementary_cycles())
-    found = []
-    for chosen in product(*pools):
-        arrows = frozenset(a for group in chosen for a in group)
+    found = {}
+    for chosen in combinations(quiver.arrows(), quiver.m):
+        arrows = frozenset(chosen)
         if first_violated_cycle(cycles, arrows) is None:
-            found.append(Cut(quiver=quiver, arrows=arrows))
+            cut = Cut(quiver=quiver, arrows=arrows)
+            found.setdefault(type_of(cut), []).append(cut)
     return found
 
 
@@ -161,12 +153,10 @@ def _embedding_canonical_form(embedding: LatticeEmbedding) -> str:
 def _quiver_regularity(quiver: McKayQuiver) -> str:
     n, m = quiver.n, quiver.m
     assert len(quiver.vertices) == m
-    outdeg = [0] * m
+    # ``arrows()`` yields n+1 arrows out of each vertex by construction.
     indeg = [0] * m
     for v, t in quiver.arrows():
-        outdeg[v] += 1
         indeg[quiver.target(v, t)] += 1
-    assert all(d == n + 1 for d in outdeg)
     assert all(d == n + 1 for d in indeg)
     assert sum(1 for _ in quiver.elementary_cycles()) == m * factorial(n)
     return f"{(n + 1) * m} arrows, {m * factorial(n)} elementary cycles"
@@ -179,25 +169,22 @@ def _construct_cut_every_type(quiver: McKayQuiver, constructed) -> str:
     return f"constructed a cut for each of {len(constructed)} types"
 
 
-def _divisibility_conditions_complete(embedding: LatticeEmbedding, oracle) -> str:
-    refused = 0
-    for point, cuts in oracle.items():
-        if not is_admissible_type(embedding, point):
-            assert not cuts, point
-            refused += 1
+def _divisibility_conditions_complete(
+    embedding: LatticeEmbedding, types, oracle
+) -> str:
+    for cut_type in oracle:
+        assert is_admissible_type(embedding, cut_type), cut_type
+    # The simplex has C(m+n, n) points; all but the admissible types are refused.
+    refused = comb(embedding.m + embedding.n, embedding.n) - len(types)
     return f"{refused} inadmissible simplex points have no cut"
 
 
 def _height_bijection_round_trip(quiver: McKayQuiver, samples) -> str:
-    embedding = quiver.embedding
+    # ``cut_from_height`` reads the type off the L1 values by an injective
+    # triangular solve, so the round trip also checks them.
     for cut in samples:
         height = height_from_cut(quiver, cut)
         assert cut_from_height(quiver, height).arrows == cut.arrows
-        cut_type = type_of(cut)
-        expected = tuple(
-            h_gamma(embedding, col, cut_type) for col in embedding.basis_columns()
-        )
-        assert height.l1_values == expected
     return f"{len(samples)} cuts round-trip with matching L1 values"
 
 
@@ -332,27 +319,22 @@ def run_verification(
     budget: int = 6,
     cut_arrows=None,
 ) -> dict:
-    n, m = embedding.n, embedding.m
+    m = embedding.m
     quiver = build_mckay(embedding)
     simplex = enumerate_types(embedding)
     types = simplex.all_types
     constructed = {t: construct_cut(quiver, t) for t in types}
-    # Exhaustive subset search on every simplex point, admissible or not.
-    oracle = {}
-    if m <= budget:
-        oracle = {p: brute_force_cuts_of_type(quiver, p) for p in _simplex_points(n, m)}
-    by_arrows = {}
-    for cut_type, cut in constructed.items():
-        for sample in (cut, *oracle.get(cut_type, ())):
-            by_arrows.setdefault(sample.arrows, sample)
-    samples = list(by_arrows.values())
+    # Every cut by exhaustive search, bucketed by type; none over budget.
+    oracle = brute_force_cuts(quiver) if m <= budget else {}
+    every_cut = chain(constructed.values(), *oracle.values())
+    samples = list({cut.arrows: cut for cut in every_cut}.values())
 
     divisibility = "divisibility_conditions_complete"
     checks = [
         ("embedding_canonical_form", _embedding_canonical_form, embedding),
         ("quiver_regularity", _quiver_regularity, quiver),
         ("construct_cut_every_type", _construct_cut_every_type, quiver, constructed),
-        (divisibility, _divisibility_conditions_complete, embedding, oracle)
+        (divisibility, _divisibility_conditions_complete, embedding, types, oracle)
         if m <= budget
         else (divisibility, f"oracle skipped (budget {budget} < m = {m})"),
         ("height_bijection_round_trip", _height_bijection_round_trip, quiver, samples),
@@ -365,7 +347,10 @@ def run_verification(
         )
     for cut_type in simplex.positive_types:
         name = "mutation_lattice_" + "_".join(str(g) for g in cut_type)
-        checks.append((name, _mutation_lattice, quiver, cut_type, oracle.get(cut_type)))
+        # Within budget a type with no bucket has no cut; None skips the
+        # comparison over budget.
+        oracle_cuts = oracle.get(cut_type, [] if m <= budget else None)
+        checks.append((name, _mutation_lattice, quiver, cut_type, oracle_cuts))
     if cut_arrows is not None:
         checks.append(("cut_file", _cut_file, quiver, cut_arrows))
     return _report(checks)

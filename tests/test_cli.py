@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mckaycuts import cli, mutation
+from mckaycuts import cli, construct, mutation
 from mckaycuts.construct import (
     _arrow_json,
     construct_cut,
@@ -591,7 +591,10 @@ class TestConstructStreaming:
         def refuse(*args, **kwargs):
             raise AssertionError("the payload went through json.dump")
 
+        # The cut's arrows go through ``cut_to_json``, which looks the name
+        # up in ``construct``; the cut quiver's and the squares' in ``cli``.
         monkeypatch.setattr(cli, "_arrow_json", counted)
+        monkeypatch.setattr(construct, "_arrow_json", counted)
         monkeypatch.setattr(json, "dump", refuse)
         code, out, _ = run_cli(
             capsys, ["--input", write_input(C300), "construct", "--type", C300_TYPE]

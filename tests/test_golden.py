@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mckaycuts
-from record_golden import find_row, load, run
+from record_golden import calls, find_row, load, run
 
 TABLE = load()
 ROWS = TABLE["rows"]
@@ -30,6 +30,12 @@ def test_row(row):
     cut = TABLE["cuts"][row["cut"]] if "cut" in row else None
     got = run(TABLE["groups"][row["group"]], row["argv"], cut)
     assert got == (row["exit"], row["sha256"])
+
+
+def test_rows_are_the_recorded_calls():
+    # A call added to or dropped from ``calls()`` needs a re-recorded table.
+    rows = [(r["group"], r["argv"], r.get("cut")) for r in ROWS]
+    assert rows == list(calls())
 
 
 def test_public_names():

@@ -29,7 +29,7 @@ from mckaycuts.mutation import (
 )
 from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
 from mckaycuts.typesimplex import enumerate_types
-from mckaycuts.verify import brute_force_cuts_of_type
+from mckaycuts.verify import brute_force_cuts
 from conftest import NAMED_SPECS, instance, oracle_extremes
 from oracles import all_cuts_exhaustive, walk_lattice_by_slacks
 
@@ -362,15 +362,19 @@ class TestBruteForce:
     def test_matches_exhaustive_oracle_on_every_simplex_point(
         self, named_instance
     ):
-        # admissible or not: inadmissible points must come back empty;
-        # every named instance has m <= 6, small enough to search
+        # admissible or not: a point with no cut has no bucket; every
+        # named instance has m <= 6, small enough to search
         _, emb, quiver = named_instance
+        buckets = brute_force_cuts(quiver)
+        points = set()
         for bars in combinations_with_replacement(range(emb.m + 1), emb.n):
             edges = (0, *bars, emb.m)
             point = tuple(b - a for a, b in zip(edges, edges[1:]))
-            found = [c.arrows for c in brute_force_cuts_of_type(quiver, point)]
+            found = [c.arrows for c in buckets.get(point, [])]
             assert len(found) == len(set(found))
             assert set(found) == set(all_cuts_exhaustive(quiver, point)), point
+            points.add(point)
+        assert set(buckets) <= points
 
 
 class TestExtremes:

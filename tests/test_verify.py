@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from mckaycuts import verify
+from mckaycuts import heights, verify
 from mckaycuts.groups import GroupSpec, embedding_from_spec
 from mckaycuts.mutation import MutationLattice
 from mckaycuts.verify import run_verification
@@ -182,3 +182,35 @@ def test_doctored_lattice_fails(monkeypatch, doctor):
         assert not any(
             c["detail"].startswith("TypeError") for c in result["failures"]
         )
+
+
+def test_missing_oracle_bucket_fails_its_lattice_check(monkeypatch):
+    # Within budget a type the search found no cut of has an empty bucket,
+    # so its lattice check compares against no cuts and fails.
+    spec, emb, _ = instance("sixth_123")
+    real = verify.brute_force_cuts
+
+    def dropped(quiver):
+        buckets = real(quiver)
+        del buckets[1, 2, 3]
+        return buckets
+
+    monkeypatch.setattr(verify, "brute_force_cuts", dropped)
+    result = run_verification(emb, spec=spec, budget=6)
+    assert [c["name"] for c in result["failures"]] == ["mutation_lattice_1_2_3"]
+
+
+def test_off_by_one_l1_value_fails_the_round_trip(monkeypatch):
+    # The round trip reads the type back off the L1 values, so it checks
+    # them: one value off by one breaks it.
+    real = heights._l1_values
+
+    def mutant(embedding, cut_type):
+        first, *rest = real(embedding, cut_type)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(heights, "_l1_values", mutant)
+    spec, emb, _ = instance("sixth_123")
+    result = run_verification(emb, spec=spec, budget=6)
+    status = {c["name"]: c["status"] for c in result["checks"]}
+    assert status["height_bijection_round_trip"] == "fail"
