@@ -105,8 +105,8 @@ NO_LATTICE = {
     ("c2000", "566,830,604"),
 }
 
-# `verify` at its default budget runs on the groups of order m <= 24.
-VERIFY_MAX_M = 24
+# `verify` at its default budget runs on the groups of order m <= 30.
+VERIFY_MAX_M = 30
 
 # Inputs that the CLI refuses.
 REFUSED = {
