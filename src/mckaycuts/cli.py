@@ -169,13 +169,14 @@ def _construct_chunks(quiver, cut):
     """Yield the ``construct`` JSON in pieces.
 
     The cut and its height function come out in one piece each, then the
-    degree-zero arrows and squares about one arrow at a time.  The text is that of ``json.dumps(tree, indent=2) + "\\n"`` for the
-    tree of the cut (``cut_to_json``), its height function, the
-    degree-zero presentation and whether it is acyclic, but of that tree
-    only the cut's and the height function's parts are built.  Every
-    arrow is written once at depth 3, as a cut arrow or as an arrow of
-    the cut quiver; the arrows of the relation squares sit at depth 4 and
-    recur, so each of their texts is encoded once and reused.
+    degree-zero arrows and squares about one arrow at a time.  The text
+    is that of ``json.dumps(tree, indent=2) + "\\n"`` for the tree of the
+    cut (``cut_to_json``), its height function, the degree-zero
+    presentation and whether it is acyclic, but of that tree only the
+    cut's and the height function's parts are built.  Every arrow is
+    written once at depth 3, as a cut arrow or as an arrow of the cut
+    quiver; the arrows of the relation squares sit at depth 4 and recur,
+    so each of their texts is encoded once and reused.
     """
     sub, relations = degree_zero_presentation(quiver, cut)
 

@@ -56,11 +56,12 @@ vertex potential of the maximal height function, to the step check of
 :mod:`mckaycuts.heights`.  The two maxima are independent and
 cross-check each other.  ``mutable_vertices`` and
 ``mutate_source``/``mutate_sink`` remain as the cut-level API on arrow
-sets.  ``relative_height_vector`` and ``meet``/``join`` remain as the
-cut-level API on vertex potentials: two cuts of one type differ in
-height by (n+1)/m times the difference of their potentials, so they
-read each cut's potential, combine the two vertex by vertex and build
-no height function.
+sets; ``mutable_vertices`` counts the cut's m arrows into and out of
+each vertex and builds no cut quiver.  ``relative_height_vector`` and
+``meet``/``join`` remain as the cut-level API on vertex potentials:
+two cuts of one type differ in height by (n+1)/m times the difference
+of their potentials, so they read each cut's potential, combine the
+two vertex by vertex and build no height function.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ from .intlat import Vec, _Record
 from .quiver import (
     Cut,
     McKayQuiver,
-    cut_quiver,
-    sinks,
-    sources,
     type_of,
 )
 from .typesimplex import require_admissible
@@ -88,9 +86,24 @@ from .typesimplex import require_admissible
 def mutable_vertices(
     quiver: McKayQuiver, cut: Cut
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sources, sinks) of the cut quiver; vertex 0 is the origin."""
-    sub = cut_quiver(quiver, cut)
-    return sources(sub), sinks(sub)
+    """(sources, sinks) of the cut quiver; vertex 0 is the origin.
+
+    A vertex is a source when the cut holds all n+1 arrows into it, and a
+    sink when it holds all n+1 arrows out of it.  An elementary cycle
+    runs through any arrow into v followed by an arrow of any other type
+    out of v, and holds exactly one cut arrow; so a cut that holds one
+    whole side of v holds nothing on the other side.  The m arrows of
+    the cut are read once and no cut quiver is built.
+    """
+    into, out = [0] * quiver.m, [0] * quiver.m
+    for u, t in cut.arrows:
+        out[u] += 1
+        into[quiver.targets[u][t - 1]] += 1
+    full = quiver.n + 1
+    return (
+        tuple(v for v, k in enumerate(into) if k == full),
+        tuple(v for v, k in enumerate(out) if k == full),
+    )
 
 
 def _mutate(quiver: McKayQuiver, cut: Cut, v, kind: str) -> Cut:

@@ -40,15 +40,18 @@ height must match its vector and each Hasse edge must be a unit step
 up.  The cuts it reads are the lattice's ``cuts``, which are read off
 the walk's masks, the masks the ``lattice`` command prints; so those
 masks are checked against the heights and, within budget, against the
-subset oracle.  Difference constraints built from the first cut's
-arrow set, not from the walk that produced the lattice, must hold for
-every vector; every feasible unit step a +- e_x of a member must be a
-member, and every feasible a + e_x a Hasse edge.  The origin-source
-check reads the edges too: only the maximum may lack an edge up, so
-one cut quiver is built per type.  Per type: one height function per
-cut, compared with the first cut's, computed once, plus one relative
-height vector (the top's against the first), and O(|L| m (n+1))
-integer operations.
+subset oracle.  Each cut's potential, from one ``_cut_potential``
+call, certifies it as a cut of the lattice's type and must differ from
+the first cut's by m times the difference of their vectors; so every
+vector is feasible.  Each cut's nonzero sources, read off its m arrows
+by ``mutable_vertices``, must be Hasse edges up from it and its nonzero
+sinks steps down to members, and over all cuts each kind must number
+the Hasse edges; so the vectors are the lattice and the edges its
+covers.  The origin-source check reads the edges too: only the maximum
+may lack an edge up, so one cut quiver is built per type.  Per type:
+one potential and one ``mutable_vertices`` call per cut, the first
+cut's potential once, one relative height vector (the top's against
+the first), and O(|L| m (n+1)) integer operations.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from math import comb, factorial
 
 from .construct import construct_cut
 from .groups import GroupSpec
-from .heights import cut_from_height, height_from_cut
+from .heights import _cut_potential, cut_from_height, height_from_cut
 from .intlat import LatticeEmbedding
 from .mutation import (
     enumerate_cut_lattice,
@@ -231,17 +234,6 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         details.append("matches subset oracle")
     # Each access to ``cuts`` builds a cut, so read these two once.
     first, top = cuts[0], cuts[lattice.max_index]
-    # Heights of one type differ by n+1 times their relative heights, so
-    # each cut's heights minus the first cut's, computed once, must be
-    # n+1 times its vector minus the first.
-    rise = quiver.n + 1
-    base = height_from_cut(quiver, first).values
-    for cut, vec in zip(cuts, vecs):
-        assert type_of(cut) == cut_type
-        values = height_from_cut(quiver, cut).values
-        assert list(map(operator.sub, values, base)) == [
-            rise * (a - b) for a, b in zip(vec, vecs[0])
-        ]
     assert relative_height_vector(top, first) == tuple(
         map(operator.sub, vecs[lattice.max_index], vecs[0])
     )
@@ -253,44 +245,38 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         a = vecs[lo]
         assert vecs[hi] == (*a[:x], a[x] + 1, *a[x + 1 :]), (lo, hi, x)
         up[lo, x] = hi
-    # Built from cuts[0] alone: a vector a belongs to a cut of this
-    # type iff a[0] = base[0] and every non-loop arrow u -> w keeps
-    # (a[w] - a[u]) - (base[w] - base[u]) in {0, 1} if cuts[0] cuts
-    # it and in {-1, 0} if not, so that every step stays +1 or -n.
-    # near[x] lists these as c <= a[x] - a[y] <= c + 1.  The feasible
-    # set F is closed under componentwise min and max, and for a
-    # positive type every cover in F is a unit step a -> a + e_x
-    # (proof sketch in enumerate_cut_lattice).  So any two points of
-    # F are joined by unit steps through their min, and a set of
-    # feasible vectors holding every feasible a +- e_x of its members
-    # is all of F.  Each edge is a unit step, hence a cover, and each
-    # feasible a + e_x is an edge, so the edges are the covers.
-    base = vecs[0]
-    near = [[] for _ in range(quiver.m)]
-    for u, t in quiver.arrows():
-        w = quiver.target(u, t)
-        if u != w:
-            low = 0 if (u, t) in first.arrows else -1
-            c = low + base[w] - base[u]
-            near[w].append((u, c))
-            near[u].append((w, -c - 1))
-    for i, a in enumerate(vecs):
-        assert a[0] == base[0], a
-        for x in range(1, quiver.m):
-            slack = {a[x] - a[y] - c for y, c in near[x]}
-            assert slack <= {0, 1}, (a, x)
-            if slack == {0}:
-                assert (i, x) in up, (a, x)
-            elif slack == {1}:
-                assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
+    # ``_cut_potential`` refuses any arrow set that is not a cut, and
+    # potentials of one type differ by m times their relative heights,
+    # so each vector is feasible.  The feasible set F is closed under
+    # componentwise min and max, and for a positive type every cover in
+    # F is a unit step (proof sketch in enumerate_cut_lattice); so a set
+    # of feasible vectors holding every feasible a +- e_x of its members
+    # is all of F.  A positive type has no loops, and a nonzero source
+    # (sink) x of cut a is exactly a feasible a + e_x (a - e_x).  Each
+    # source is an edge up, and the counts make every edge one, so the
+    # edges are the covers.
+    m, base = quiver.m, _cut_potential(quiver, first)[1]
+    rises = falls = 0
+    for i, (cut, a) in enumerate(zip(cuts, vecs)):
+        found, potential = _cut_potential(quiver, cut)
+        assert found == cut_type, (a, found)
+        assert list(map(operator.sub, potential, base)) == [
+            m * (x - y) for x, y in zip(a, vecs[0])
+        ], a
+        rise, fall = mutable_vertices(quiver, cut)
+        for x in filter(None, rise):
+            assert (i, x) in up, (a, x)
+            rises += 1
+        for x in filter(None, fall):
+            assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
+            falls += 1
+    assert rises == falls == len(lattice.hasse_edges), (rises, falls)
     assert max_element(quiver, cut_type) == top
     assert max_via_p(quiver, cut_type) == top
     assert min_element(quiver, cut_type) == cuts[lattice.min_index]
-    # A positive type has no loops, and a nonzero source x of a cut
-    # a is exactly a feasible a + e_x, which the closure pass above
-    # made an edge up.  Every cut quiver is acyclic, so it has a
-    # source: the cuts whose only source is the origin are exactly
-    # those with no edge up, and only the maximum may be one.
+    # Every cut quiver is acyclic, so it has a source: the cuts whose
+    # only source is the origin are exactly those with no edge up, and
+    # only the maximum may be one.
     assert {lo for lo, _ in up} == set(range(len(cuts))) - {lattice.max_index}
     assert sources(cut_quiver(quiver, top)) == (0,)
     details.append("covers = mutations, closed, extremes agree")

@@ -27,7 +27,14 @@ from mckaycuts.mutation import (
     mutate_source,
     relative_height_vector,
 )
-from mckaycuts.quiver import build_mckay, cut_quiver, make_cut, sources, type_of
+from mckaycuts.quiver import (
+    build_mckay,
+    cut_quiver,
+    make_cut,
+    sinks,
+    sources,
+    type_of,
+)
 from mckaycuts.typesimplex import enumerate_types
 from mckaycuts.verify import brute_force_cuts
 from conftest import NAMED_SPECS, instance, oracle_extremes
@@ -140,6 +147,54 @@ class TestMutableVertices:
         cut = construct_cut(quiver, (1, 0, 0))
         cut_sources, cut_sinks = mutable_vertices(quiver, cut)
         assert [v for v in cut_sources + cut_sinks if v != 0] == []
+
+    @staticmethod
+    def read_off_cut_quiver(quiver, cut):
+        """The sources and sinks of the cut quiver, built from all m(n+1) arrows."""
+        sub = cut_quiver(quiver, cut)
+        return sources(sub), sinks(sub)
+
+    def assert_every_cut_agrees(self, quiver):
+        for cut_type in enumerate_types(quiver.embedding).all_types:
+            for cut in enumerate_cut_lattice(quiver, cut_type).cuts:
+                expected = self.read_off_cut_quiver(quiver, cut)
+                assert mutable_vertices(quiver, cut) == expected, cut.arrows
+
+    def test_every_cut_of_every_type_of_small_groups(self):
+        # Nonpositive types included: their cuts hold every arrow of some
+        # type at some vertices and none at others.
+        specs = [instance(name)[0] for name in sorted(NAMED_SPECS)]
+        for spec in (*specs, GroupSpec.make(2, [(12, (1, 2, 9))])):
+            self.assert_every_cut_agrees(build_mckay(embedding_from_spec(spec)))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_every_cut_with_loops(self, m):
+        # 1/m(1, m-1, 0): every arrow of type 3 is a loop.
+        self.assert_every_cut_agrees(cyclic_quiver(m, (1, m - 1, 0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cuts_along_random_mutations_of_cyclic_groups(self, data):
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(2, 16))
+        head = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        weights = (*head, -sum(head) % m)
+        assume(gcd(m, *weights) == 1)
+        quiver = cyclic_quiver(m, weights)
+        types = enumerate_types(quiver.embedding).all_types
+        cut = construct_cut(quiver, data.draw(st.sampled_from(types)))
+        for _ in range(8):
+            ends = self.read_off_cut_quiver(quiver, cut)
+            assert mutable_vertices(quiver, cut) == ends
+            moves = [
+                (mutate, v)
+                for mutate, side in zip((mutate_source, mutate_sink), ends)
+                for v in side
+            ]
+            if not moves:
+                break
+            mutate, v = data.draw(st.sampled_from(moves))
+            cut = mutate(quiver, cut, v)
 
 
 class TestMutate:

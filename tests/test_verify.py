@@ -110,6 +110,22 @@ def _swap_cuts(lattice):
     return _rebuild(lattice, bounds=bounds)
 
 
+def _moved_vector(lattice):
+    """Move one middle vector by one at one vertex, keeping its cut.
+
+    The cut is still read off the old vector, as in ``_swap_cuts``, so
+    the moved vector and its cut disagree by one step at that vertex.
+    """
+    vecs = list(lattice.v_vectors)
+    k = _middle_pair(lattice)[0]
+    old = vecs[k]
+    vecs[k] = (old[0], old[1] + 1, *old[2:])
+    back = {vecs[k]: old}
+    read_off = lattice.bounds.cut
+    bounds = types.SimpleNamespace(cut=lambda v: read_off(back.get(v, v)))
+    return _rebuild(lattice, v_vectors=tuple(vecs), bounds=bounds)
+
+
 def _drop_middle(lattice):
     """Drop a non-extreme vector, and so its cut, and renumber the edges.
 
@@ -146,6 +162,7 @@ DOCTORS = {
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 1),)
     ),
     "drop_middle_cut": _drop_middle,
+    "moved_vector": _moved_vector,
     # The origin is never mutated, so this edge duplicates no real one.
     "min_to_max_edge_at_origin": lambda lat: _rebuild(
         lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 0),)
@@ -182,6 +199,30 @@ def test_doctored_lattice_fails(monkeypatch, doctor):
         assert not any(
             c["detail"].startswith("TypeError") for c in result["failures"]
         )
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["source", "sink"])
+def test_mutable_vertices_missing_one_vertex_fails(monkeypatch, side):
+    # Summed over the cuts, the nonzero sources and sinks each number the
+    # Hasse edges, so one vertex dropped from one cut fails its lattice.
+    real = verify.mutable_vertices
+    dropped = []
+
+    def mutant(quiver, cut):
+        ends = list(real(quiver, cut))
+        nonzero = [v for v in ends[side] if v]
+        if nonzero and not dropped:
+            dropped.append(nonzero[-1])
+            ends[side] = tuple(v for v in ends[side] if v != nonzero[-1])
+        return tuple(ends)
+
+    monkeypatch.setattr(verify, "mutable_vertices", mutant)
+    spec = GroupSpec.make(2, [(12, (1, 2, 9))])
+    result = run_verification(embedding_from_spec(spec), spec=spec, budget=6)
+    assert dropped
+    (failure,) = result["failures"]
+    assert failure["name"].startswith("mutation_lattice_")
+    assert failure["detail"].startswith("AssertionError")
 
 
 def test_missing_oracle_bucket_fails_its_lattice_check(monkeypatch):
