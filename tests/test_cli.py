@@ -749,15 +749,16 @@ class TestLatticeStreaming:
     def test_stdout_is_to_json_byte_for_byte(self, capsys, write_input, monkeypatch):
         quiver = build_mckay(embedding_from_spec(GroupSpec.make(2, [(24, (1, 5, 18))])))
         lattice = enumerate_cut_lattice(quiver, (7, 11, 6))
-        # Over new seed bounds, with no walked mask, every cut of the tree
+        # New seed bounds pack every vector afresh, so each cut of the tree
         # is read off its slacks, and the CLI prints the walk's masks.
+        bounds = mutation._Bounds(quiver, lattice.cut_type)
         fresh = MutationLattice(
             lattice.cut_type,
-            lattice.v_vectors,
+            tuple(map(bounds.pack, lattice.v_vectors)),
             lattice.hasse_edges,
             lattice.max_index,
             lattice.min_index,
-            mutation._Bounds(quiver, lattice.cut_type),
+            bounds,
         )
         expected = json.dumps(fresh.to_json(), indent=2) + "\n"
 

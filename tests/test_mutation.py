@@ -1,6 +1,7 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
 import json
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
@@ -676,11 +677,11 @@ class TestHasseTransitiveReduction:
             assert {(lo, hi) for lo, hi, _ in lattice.hasse_edges} == reduction
 
 
-def rebuilt(lattice, vectors, bounds):
-    """``lattice`` with other vectors and bounds, through the constructor."""
+def rebuilt(lattice, packed, bounds):
+    """``lattice`` with other packed cuts and bounds, through the constructor."""
     return MutationLattice(
         lattice.cut_type,
-        vectors,
+        packed,
         lattice.hasse_edges,
         lattice.max_index,
         lattice.min_index,
@@ -691,30 +692,33 @@ def rebuilt(lattice, vectors, bounds):
 def dumped(lattice) -> str:
     """``to_json`` text of the lattice with every cut read off its slacks.
 
-    New seed bounds hold no walked mask, so comparing this with the
-    lattice's own stream checks the walk's masks against the slacks.
+    New seed bounds pack each vector afresh, its mask read off the step
+    check of its potential, so comparing this with the lattice's own
+    stream checks the walk's masks against the slacks.
     """
     fresh = mutation._Bounds(lattice.bounds.quiver, lattice.cut_type)
-    tree = rebuilt(lattice, lattice.v_vectors, fresh).to_json()
+    packed = tuple(map(fresh.pack, lattice.v_vectors))
+    tree = rebuilt(lattice, packed, fresh).to_json()
     return json.dumps(tree, indent=2) + "\n"
 
 
-def assert_cuts_act_as_tuple(quiver, lattice):
-    """``lattice.cuts`` behaves like the tuple of the cuts read off its vectors."""
+def assert_views_act_as_tuples(quiver, lattice):
+    """``v_vectors`` and ``cuts`` behave like tuples read off the ints."""
     bounds = mutation._Bounds(quiver, lattice.cut_type)
-    expected = tuple(map(bounds.cut, lattice.v_vectors))
-    assert all(type_of(c) == lattice.cut_type for c in expected)
-    cuts = lattice.cuts
-    size = len(expected)
-    assert len(cuts) == size and tuple(cuts) == expected
-    assert (cuts[-1], cuts[-size]) == (expected[-1], expected[0])
-    for i in (size, -size - 1):
-        with pytest.raises(IndexError):
-            cuts[i]
-    assert cuts[:2] + cuts[-2:] == expected[:2] + expected[-2:]
-    assert cuts[::-3] == expected[::-3] and type(cuts[1:1]) is tuple
-    with pytest.raises(TypeError):
-        cuts[0] = expected[0]
+    vectors = tuple(map(bounds.vector, lattice.packed))
+    cuts = tuple(map(bounds.cut, map(bounds.pack, vectors)))
+    assert all(type_of(c) == lattice.cut_type for c in cuts)
+    for view, expected in ((lattice.v_vectors, vectors), (lattice.cuts, cuts)):
+        size = len(expected)
+        assert len(view) == size and tuple(view) == expected
+        assert (view[-1], view[-size]) == (expected[-1], expected[0])
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert view[:2] + view[-2:] == expected[:2] + expected[-2:]
+        assert view[::-3] == expected[::-3] and type(view[1:1]) is tuple
+        with pytest.raises(TypeError):
+            view[0] = expected[0]
 
 
 class TestLatticeJsonChunks:
@@ -724,26 +728,29 @@ class TestLatticeJsonChunks:
             for cut_type in enumerate_types(quiver.embedding).all_types:
                 lattice = enumerate_cut_lattice(quiver, cut_type)
                 assert "".join(lattice.json_chunks()) == dumped(lattice), cut_type
-                assert_cuts_act_as_tuple(quiver, lattice)
+                assert_views_act_as_tuples(quiver, lattice)
                 nonpositive += not all(cut_type)
                 single += len(lattice.cuts) == 1
         # Both edge cases occur: nonpositive types and one-cut lattices.
         assert nonpositive > 0 and single > 0
 
     def test_a_copy_reads_its_cuts_off_its_own_vectors(self):
-        # 1/6(1,2,3), type (1,2,3): a copy with the vectors reversed, as
-        # tuples or as lists, streams the same text as its tree, with the
-        # cuts reversed too.
+        # 1/6(1,2,3), type (1,2,3): a copy packed from the vectors reversed,
+        # as tuples or as lists, streams the same text as its tree, with
+        # the cuts reversed too.
         lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
-        reverse = lattice.v_vectors[::-1]
+        reverse = tuple(lattice.v_vectors)[::-1]
         for vectors in (reverse, [list(v) for v in reverse]):
-            copy = rebuilt(lattice, vectors, lattice.bounds)
+            packed = tuple(map(lattice.bounds.pack, vectors))
+            copy = rebuilt(lattice, packed, lattice.bounds)
+            assert tuple(copy.v_vectors) == reverse
             assert tuple(copy.cuts) == tuple(lattice.cuts)[::-1]
             text = "".join(copy.json_chunks())
             assert text == json.dumps(copy.to_json(), indent=2) + "\n"
             assert text == dumped(copy)
-        with pytest.raises(AttributeError):
-            copy.cuts = tuple(copy.cuts)
+        for view in ("cuts", "v_vectors"):
+            with pytest.raises(AttributeError):
+                setattr(copy, view, tuple(getattr(copy, view)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -757,29 +764,41 @@ class TestLatticeJsonChunks:
         cut_type = data.draw(st.sampled_from(types))
         lattice = enumerate_cut_lattice(quiver, cut_type)
         assert "".join(lattice.json_chunks()) == dumped(lattice)
-        assert_cuts_act_as_tuple(quiver, lattice)
+        assert_views_act_as_tuples(quiver, lattice)
 
     def test_a_vector_off_the_bounds_is_refused(self):
         # 1/6(1,2,3), type (1,2,3): raising one coordinate of a vector by 2
         # breaks the bound of some arrow at that vertex.
         lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
-        vectors = [list(v) for v in lattice.v_vectors]
-        vectors[2][3] += 2
-        copy = rebuilt(lattice, vectors, lattice.bounds)
+        vector = list(lattice.v_vectors[2])
+        vector[3] += 2
         with pytest.raises(ValueError, match="not a height function"):
-            copy.cuts[2]
-        with pytest.raises(ValueError, match="not a height function"):
-            "".join(copy.json_chunks())
+            lattice.bounds.pack(vector)
+
+    def test_a_vector_of_the_wrong_length_or_origin_is_refused(self):
+        # 1/6(1,2,3), type (1,2,3): one entry too many or too few is refused
+        # with the length, not read as the cut of its first m entries.  A
+        # whole vector moved up by one keeps every slack but not v[0] = 0.
+        lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
+        pack = lattice.bounds.pack
+        for v in lattice.v_vectors:
+            for wrong in ((*v, 0), v[:-1]):
+                with pytest.raises(ValueError, match=f"6 entries, not {len(wrong)}"):
+                    pack(wrong)
+            with pytest.raises(ValueError, match=r"v\[0\] = 1, not 0"):
+                pack([x + 1 for x in v])
 
     def test_a_mask_of_the_wrong_type_is_refused(self):
         # Flipping bits 0 and 1, the arrows of types 1 and 2 out of vertex
         # 0, changes the count of type 1.
         lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
-        lattice.bounds.walked[lattice.v_vectors[1]] ^= 0b11
+        packed = list(lattice.packed)
+        packed[1] ^= 0b11
+        copy = rebuilt(lattice, tuple(packed), lattice.bounds)
         with pytest.raises(AssertionError):
-            lattice.cuts[1]
+            copy.cuts[1]
         with pytest.raises(AssertionError):
-            "".join(lattice.json_chunks())
+            "".join(copy.json_chunks())
 
 
 @st.composite
@@ -798,7 +817,7 @@ def cyclic_groups_with_any_type(draw):
 def assert_walk_matches_oracle(quiver, lattice):
     seed = construct_cut(quiver, lattice.cut_type).arrows
     vectors, edges = walk_lattice_by_slacks(quiver, lattice.cut_type, seed)
-    assert lattice.v_vectors == vectors
+    assert tuple(lattice.v_vectors) == vectors
     assert lattice.hasse_edges == tuple(sorted(lattice.hasse_edges))
     assert lattice.hasse_edges == edges
 
@@ -823,8 +842,22 @@ class TestPackedWalk:
             (i, i + 1) for i in range(n)
         ]
         assert "".join(lattice.json_chunks()) == dumped(lattice)
-        assert_cuts_act_as_tuple(quiver, lattice)
+        assert_views_act_as_tuples(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)
+
+    def test_the_lattice_holds_under_640_bytes_per_cut(self):
+        # 1/30(1,5,24), type (8,10,12): 14,955 cuts.  The packed ints and
+        # the Hasse edges hold about 470 bytes per cut; a tuple per vector
+        # and a table of the walk's ints beside them took about 790.
+        quiver = cyclic_quiver(30, (1, 5, 24))
+        tracemalloc.start()
+        try:
+            lattice = enumerate_cut_lattice(quiver, (8, 10, 12))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(lattice.packed) == 14955
+        assert held / len(lattice.packed) < 640
 
     def test_two_byte_vector_digits(self):
         # m = 130: a digit v[x] + m reaches 2m - 1 = 259, past one byte.
@@ -832,5 +865,5 @@ class TestPackedWalk:
         lattice = enumerate_cut_lattice(quiver, (1, 5, 124))
         assert len(lattice.v_vectors) == 130
         assert "".join(lattice.json_chunks()) == dumped(lattice)
-        assert_cuts_act_as_tuple(quiver, lattice)
+        assert_views_act_as_tuples(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)

@@ -46,7 +46,7 @@ RECORDS = {
     "Subquiver": (lambda: cut_quiver(_quiver(), _cut()), False, ()),
     "HeightFunction": (lambda: height_from_cut(_quiver(), _cut()), False, ("values",)),
     "MutationLattice": (
-        lambda: enumerate_cut_lattice(_quiver(), TYPE), False, ("bounds",)
+        lambda: enumerate_cut_lattice(_quiver(), TYPE), False, ("packed", "bounds")
     ),
 }
 

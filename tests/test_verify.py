@@ -1,7 +1,5 @@
 """The verification harness itself."""
 
-import types
-
 import pytest
 
 from mckaycuts import heights, verify
@@ -74,7 +72,7 @@ def _rebuild(lattice, **changes):
     """A copy of the lattice, built by its constructor, with some fields changed."""
     fields = {
         "cut_type": lattice.cut_type,
-        "v_vectors": lattice.v_vectors,
+        "packed": lattice.packed,
         "hasse_edges": lattice.hasse_edges,
         "max_index": lattice.max_index,
         "min_index": lattice.min_index,
@@ -86,54 +84,53 @@ def _rebuild(lattice, **changes):
 def _middle_pair(lattice):
     """Two indices, neither of them an extreme element."""
     ends = (lattice.min_index, lattice.max_index)
-    return [k for k in range(len(lattice.v_vectors)) if k not in ends][:2]
+    return [k for k in range(len(lattice.packed)) if k not in ends][:2]
 
 
 def _swap_vectors(lattice):
-    """Swap two middle vectors, and with them the cuts read off them."""
-    vecs = list(lattice.v_vectors)
+    """Swap two middle ints, and with their vectors the cuts read off them."""
+    packed = list(lattice.packed)
     i, j = _middle_pair(lattice)
-    vecs[i], vecs[j] = vecs[j], vecs[i]
-    return _rebuild(lattice, v_vectors=tuple(vecs))
+    packed[i], packed[j] = packed[j], packed[i]
+    return _rebuild(lattice, packed=tuple(packed))
 
 
 def _swap_cuts(lattice):
-    """Read the cuts of two middle vectors off each other's vector.
+    """Swap the masks of two middle ints, keeping their vectors.
 
-    The vectors, edges and extremes stay genuine; only the read-off
-    cuts disagree with their vectors.
+    The vectors, edges and extremes stay genuine; only the cuts read off
+    the ints disagree with their vectors.
     """
-    a, b = (lattice.v_vectors[k] for k in _middle_pair(lattice))
-    swap = {a: b, b: a}
-    read_off = lattice.bounds.cut
-    bounds = types.SimpleNamespace(cut=lambda v: read_off(swap.get(v, v)))
-    return _rebuild(lattice, bounds=bounds)
+    packed = list(lattice.packed)
+    i, j = _middle_pair(lattice)
+    flip = (packed[i] ^ packed[j]) & lattice.bounds.all_bits
+    packed[i] ^= flip
+    packed[j] ^= flip
+    return _rebuild(lattice, packed=tuple(packed))
 
 
 def _moved_vector(lattice):
-    """Move one middle vector by one at one vertex, keeping its cut.
+    """Add one to a middle int at vertex 1's digit, keeping its mask.
 
-    The cut is still read off the old vector, as in ``_swap_cuts``, so
-    the moved vector and its cut disagree by one step at that vertex.
+    The digit of vertex x sits ``8 * size * (m - 1 - x)`` bits above the
+    mask (see ``_Bounds``), so the vector moves up by one at vertex 1 and
+    its cut, read off the old mask, disagrees with it by one step there.
     """
-    vecs = list(lattice.v_vectors)
+    bounds = lattice.bounds
+    packed = list(lattice.packed)
     k = _middle_pair(lattice)[0]
-    old = vecs[k]
-    vecs[k] = (old[0], old[1] + 1, *old[2:])
-    back = {vecs[k]: old}
-    read_off = lattice.bounds.cut
-    bounds = types.SimpleNamespace(cut=lambda v: read_off(back.get(v, v)))
-    return _rebuild(lattice, v_vectors=tuple(vecs), bounds=bounds)
+    packed[k] += 1 << bounds.low + 8 * bounds.size * (bounds.quiver.m - 2)
+    return _rebuild(lattice, packed=tuple(packed))
 
 
 def _drop_middle(lattice):
-    """Drop a non-extreme vector, and so its cut, and renumber the edges.
+    """Drop a non-extreme int, and so its vector and cut, and renumber the edges.
 
     Every remaining vector, edge and extreme is genuine, so only the
     unit-step closure of the vectors can notice the hole.
     """
     k = next(
-        k for k in range(len(lattice.cuts))
+        k for k in range(len(lattice.packed))
         if k not in (lattice.min_index, lattice.max_index)
     )
 
@@ -142,7 +139,7 @@ def _drop_middle(lattice):
 
     return _rebuild(
         lattice,
-        v_vectors=lattice.v_vectors[:k] + lattice.v_vectors[k + 1 :],
+        packed=lattice.packed[:k] + lattice.packed[k + 1 :],
         hasse_edges=tuple(
             (renumber(lo), renumber(hi), x)
             for lo, hi, x in lattice.hasse_edges
