@@ -31,12 +31,14 @@ the bottom of the lattice, one shortest-path pass as for
 v-vector above its mask: the digit ``v[x] + m`` of each vertex in whole
 bytes with vertex 0 the most significant, so that int order is
 lexicographic order, and digits never carry, so a rise is one addition
-(``_Bounds`` says why).  The walk records only the ints it reaches; the
-Hasse edges are read back off the sorted ints with the same AND, and
-come out in order with no sort (see ``_walk_lattice``).  The sorted ints
-are the lattice: ``MutationLattice`` keeps nothing else per cut, and its
-``v_vectors`` and ``cuts`` are read-only sequences that read a vector or
-a ``Cut`` off each int when it is accessed.  ``_Bounds`` owns the
+(``_Bounds`` says why).  The walk records only the ints it reaches, and
+the sorted ints are the lattice: ``MutationLattice`` keeps nothing else.
+Its ``v_vectors`` and ``cuts`` are read-only sequences that read a
+vector or a ``Cut`` off each int when it is accessed, its extremes are
+the first and last int, and its Hasse edges are read off the sorted
+ints with the same AND whenever they are asked for: a lattice's covers
+are fixed by its members, each one a single-class rise.  They come out
+in order with no sort (see ``_walk_lattice``).  ``_Bounds`` owns the
 layout.  ``_Bounds.pack`` is the one way in: it reads the mask of any
 vector off the step check of its potential ``xi + m * v``, which cuts
 the arrows whose difference is at its lower bound.  ``_Bounds.mask``
@@ -170,31 +172,44 @@ class MutationLattice(_Record):
     cut, its packed v-vector above its arrow mask, sorted, which sorts
     the vectors lexicographically, so output is deterministic.
     ``bounds`` are the seed cut's difference constraints and own that
-    layout (see :class:`_Bounds`).  ``v_vectors`` and ``cuts`` are
-    read-only properties: sequences in the order of ``packed`` that hold
-    no vector and no ``Cut``.  Indexing or iterating one reads each item
-    off its int through ``bounds`` (a slice gives a tuple), so read an
-    item once where it is used often.  Both ``cuts`` and ``json_chunks``
-    read a cut off its int's mask (``bounds.mask``, which checks its
-    type), so they give the same arrows.  A copy with other vectors is
-    built from their ints, ``tuple(map(bounds.pack, vectors))``.
-    ``hasse_edges`` are the covers as (lower index, upper index, vertex)
-    triples, the vertex being the first of the class that moves (for a
-    positive type, the vertex mutated).  ``to_json`` builds the JSON
-    tree; ``json_chunks`` writes the same tree's ``indent=2`` text piece
-    by piece without building it, which is how the ``lattice`` command
-    prints it.  The fragment encoder ``_indented`` and the array layout
-    ``_json_array`` it uses live in ``construct``, next to
-    ``_arrow_json``, and also serve the ``construct`` command.
+    layout (see :class:`_Bounds`).  Everything else is read off
+    ``packed``.  ``v_vectors`` and ``cuts`` are read-only properties:
+    sequences in the order of ``packed`` that hold no vector and no
+    ``Cut``.  Indexing or iterating one reads each item off its int
+    through ``bounds`` (a slice gives a tuple), so read an item once
+    where it is used often.  Both ``cuts`` and ``json_chunks`` read a cut
+    off its int's mask (``bounds.mask``, which checks its type), so they
+    give the same arrows.  A copy with other vectors is built from their
+    ints, ``tuple(map(bounds.pack, vectors))``.  ``max_index`` is the
+    last index and ``min_index`` is 0.  ``hasse_edges`` are the covers
+    as (lower index, upper index, vertex) triples, the vertex being the
+    first of the class that moves (for a positive type, the vertex
+    mutated); each access reads them off the ints into a new tuple, so
+    read them once.  ``to_json`` builds the JSON tree; ``json_chunks``
+    writes the same tree's ``indent=2`` text piece by piece without
+    building it, which is how the ``lattice`` command prints it, and
+    ``hasse_dot`` writes the DOT text line by line.  The fragment encoder
+    ``_indented`` and the array layout ``_json_array`` it uses live in
+    ``construct``, next to ``_arrow_json``, and also serve the
+    ``construct`` command.
     """
 
     cut_type: Vec
     packed: tuple[int, ...]
-    hasse_edges: tuple[tuple[int, int, int], ...]
-    max_index: int
-    min_index: int
     bounds: _Bounds
     _hidden = ("packed", "bounds")
+    # The componentwise min (max) of a set closed under min (max) lies
+    # below (above) every member, so it is also the lexicographically
+    # first (last) of the sorted vectors.
+    min_index = 0
+
+    @property
+    def max_index(self) -> int:
+        return len(self.packed) - 1
+
+    @property
+    def hasse_edges(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(self._covers())
 
     @property
     def v_vectors(self) -> Sequence[Vec]:
@@ -203,6 +218,26 @@ class MutationLattice(_Record):
     @property
     def cuts(self) -> Sequence[Cut]:
         return _ReadOff(self.bounds.cut, self.packed)
+
+    def _covers(self):
+        """Yield the Hasse edges, read off ``packed``, in sorted order.
+
+        From cut i, each class that can rise gives the edge (i, index of
+        ``cut + step``, first vertex of the class); ``_walk_lattice`` says
+        why they come out sorted.  The index lives only during the pass.
+        A copy whose ints miss the upper end of a rise raises ValueError.
+        """
+        index = {cut: i for i, cut in enumerate(self.packed)}
+        moves = self.bounds.classes()
+        for i, cut in enumerate(self.packed):
+            for flip, into, step, vertex in moves:
+                if cut & flip == into:
+                    if (upper := index.get(cut + step)) is None:
+                        raise ValueError(
+                            f"cut {i} rises at vertex {vertex} to v = "
+                            f"{self.bounds.vector(cut + step)}, which the lattice lacks"
+                        )
+                    yield i, upper, vertex
 
     def to_json(self) -> dict:
         quiver = self.bounds.quiver
@@ -216,7 +251,7 @@ class MutationLattice(_Record):
                     "upper": hi,
                     "vertex": list(quiver.vertices[vx]),
                 }
-                for lo, hi, vx in self.hasse_edges
+                for lo, hi, vx in self._covers()
             ],
             "max_index": self.max_index,
             "min_index": self.min_index,
@@ -262,8 +297,7 @@ class MutationLattice(_Record):
             arrows = "".join(map(_ArrowTexts.__getitem__, tables, held))
             return f"{cut_head}{arrows[1:]}\n      ]\n    }}"
 
-        # |v[x]| < m, and a table lookup is faster than ``str``.
-        digits = {x: str(x) for x in range(1 - quiver.m, quiver.m)}.__getitem__
+        digits = bounds.digit_text
         pad = "\n      "
         vector_sep = "," + pad
 
@@ -275,7 +309,7 @@ class MutationLattice(_Record):
         edge_texts = (
             f'{{\n      "lower": {lo},\n      "upper": {hi},\n'
             f'      "vertex": {vertices[vx]}\n    }}'
-            for lo, hi, vx in self.hasse_edges
+            for lo, hi, vx in self._covers()
         )
         yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
         yield from _json_array(map(cut_text, self.packed), 1)
@@ -288,17 +322,16 @@ class MutationLattice(_Record):
             f'\n  "min_index": {self.min_index}\n}}\n'
         )
 
-    def hasse_dot(self) -> str:
-        quiver = self.bounds.quiver
-        lines = ["digraph hasse {", "  rankdir=BT;"]
-        for i, vec in enumerate(map(self.bounds.vector, self.packed)):
-            label = ",".join(map(str, vec))
-            lines.append(f'  c{i} [label="v=({label})"];')
-        for lo, hi, vx in self.hasse_edges:
-            rep = ",".join(str(c) for c in quiver.vertices[vx])
-            lines.append(f'  c{lo} -> c{hi} [label="{rep}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+    def hasse_dot(self):
+        """Yield the DOT text of the Hasse diagram line by line."""
+        bounds = self.bounds
+        vertices = [",".join(map(str, x)) for x in bounds.quiver.vertices]
+        yield "digraph hasse {\n  rankdir=BT;\n"
+        for i, vec in enumerate(map(bounds.vector, self.packed)):
+            yield f'  c{i} [label="v=({",".join(map(bounds.digit_text, vec))})"];\n'
+        for lo, hi, vx in self._covers():
+            yield f'  c{lo} -> c{hi} [label="{vertices[vx]}"];\n'
+        yield "}\n"
 
 
 def _blocks(texts, size: int = 64):
@@ -349,10 +382,9 @@ class _Bounds:
     A class is a connected component of the arrows whose type has count
     0; s holds none of them and no cut does, so v is constant on each
     class.  Every class is a single vertex when the type is positive.
-    ``classes()`` gives each class but the origin's with the masks of
-    the arrows between it and the other classes, built in one pass over
-    the arrows, and the int that adds one to its digits; only the walk
-    asks for them, not the extremes.
+    ``classes()`` gives the rise of each class but the origin's, built
+    in one pass over the arrows; the walk and the reading of the Hasse
+    edges off the ints ask for them, not the extremes.
     """
 
     def __init__(self, quiver: McKayQuiver, cut_type) -> None:
@@ -372,8 +404,10 @@ class _Bounds:
         self.low = m * self.slot
         self.all_bits = (1 << self.low) - 1
         self.size = -(-(2 * m).bit_length() // 8)
-        # One int object per digit value, shared by every vector read.
+        # One int object per digit value, shared by every vector read, and
+        # the text of each value: |v[x]| < m, and a lookup beats ``str``.
         self.values = [x - m for x in range(2 * m)]
+        self.digit_text = {x: str(x) for x in range(1 - m, m)}.__getitem__
         # The arrows of type t + 1 are bit t of every vertex's slot.
         self.type_masks = [
             int.from_bytes((1 << t).to_bytes(self.slot // 8, "little") * m, "little")
@@ -381,13 +415,16 @@ class _Bounds:
         ]
 
     def classes(self) -> list[tuple[int, int, int, int]]:
-        """(first vertex, into, out, rise) for every class but the origin's.
+        """(flip, into, step, first vertex) of every class but the origin's.
 
         ``into`` is the mask of the arrows from other classes into the
-        class and ``out`` that of the arrows leaving it; arrows inside a
-        class, loops included, are in neither.  ``rise`` adds one to the
-        digit of each member.  Classes come in order of their first
-        vertex.
+        class and ``flip`` also holds those leaving it, ``out``; arrows
+        inside a class, loops included, are in neither.  The class can
+        rise when a cut's ``packed & flip == into``, and ``step`` is the
+        rise, added to the int: it takes ``into`` out of the mask, puts
+        ``out`` in and adds one to the digit of each member.  Classes come
+        in reverse order of their first vertex, the order in which their
+        rises grow (see ``_walk_lattice``).
         """
         quiver = self.quiver
         zero = [t for t, g in zip(quiver.types, self.cut_type) if not g]
@@ -411,7 +448,11 @@ class _Bounds:
                 into[label[w]] |= bit
         for x, c in enumerate(label):
             rise[c] += 1 << self.low + 8 * self.size * (quiver.m - 1 - x)
-        return [(c, into[c], out[c], rise[c]) for c in members if c]
+        return [
+            (into[c] | out[c], into[c], rise[c] + out[c] - into[c], c)
+            for c in reversed(members)
+            if c
+        ]
 
     def extreme(self, sign: int) -> Vec:
         """The top (sign +1) or bottom (sign -1) v-vector of the lattice.
@@ -532,7 +573,7 @@ class _ReadOff(Sequence):
         return self.read(self.packed[index])
 
 
-def _walk_lattice(bounds: _Bounds):
+def _walk_lattice(bounds: _Bounds) -> tuple[int, ...]:
     """Climb from the bottom of the lattice by rises of single classes.
 
     A class can rise by one when every arrow into it from another class
@@ -552,27 +593,23 @@ def _walk_lattice(bounds: _Bounds):
     each member, so it adds the class's constant ``step``, and no carry
     crosses from one digit or mask bit to the next.
 
-    The climb records only the ints it has seen.  Sorting them numbers
-    the cuts, and one pass over the sorted cuts then reads every cover
-    back with the same AND: from cut i, each class that can rise gives
-    the Hasse edge (i, index of ``cut + step``, first vertex of the
-    class).  The pass writes the edges already sorted.  For one lower
+    The climb records only the set of ints it has seen and returns them
+    sorted, which numbers the cuts; nothing else is kept.  The Hasse
+    edges are read back off the sorted ints with the same AND
+    (``MutationLattice._covers``): from cut i, each class that can rise
+    gives the edge (i, index of ``cut + step``, first vertex of the
+    class).  That pass writes the edges already sorted.  For one lower
     end, a class with a smaller first vertex has the larger rise, since
     vertex 0 is the most significant digit, the classes are disjoint and
     digits never carry; a step's mask part ``out - into`` lies below the
     digits, so the vector part orders the upper ends.  Taking the
-    classes from last to first thus gives increasing upper ends, and no
-    (lower, upper) pair comes from two classes.
-
-    Returns the sorted ints and the sorted Hasse edges (lower index,
-    upper index, first vertex of the class).
+    classes from last to first, as ``_Bounds.classes`` gives them, thus
+    gives increasing upper ends, and no (lower, upper) pair comes from
+    two classes.
     """
-    moves = [
-        (into | out, into, rise + out - into, vertex)
-        for vertex, into, out, rise in reversed(bounds.classes())
-    ]
+    moves = bounds.classes()
     start = bounds.pack(bounds.extreme(-1))
-    seen = {start: None}
+    seen = {start}
     stack = [start]
     while stack:
         cut = stack.pop()
@@ -580,17 +617,9 @@ def _walk_lattice(bounds: _Bounds):
             if cut & flip == into:
                 moved = cut + step
                 if moved not in seen:
-                    seen[moved] = None
+                    seen.add(moved)
                     stack.append(moved)
-    packed = sorted(seen)
-    for i, cut in enumerate(packed):
-        seen[cut] = i
-    edges = []
-    for i, cut in enumerate(packed):
-        for flip, into, step, vertex in moves:
-            if cut & flip == into:
-                edges.append((i, seen[cut + step], vertex))
-    return tuple(packed), tuple(edges)
+    return tuple(sorted(seen))
 
 
 def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
@@ -629,25 +658,15 @@ def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:
     function is computed.
 
     Each cover is a Hasse edge (lower index, upper index), labelled by
-    the first vertex of the class that moved, read back off the sorted
-    cuts in that order with no sort (:func:`_walk_lattice` says why).
-    For a positive type each class is one vertex and its moves are the
+    the first vertex of the class that moved.  The lattice stores no
+    edge: they are read off the sorted cuts in that order with no sort
+    whenever they are asked for (:func:`_walk_lattice` says why).  For a
+    positive type each class is one vertex and its moves are the
     mutations at nonzero sources and sinks.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     bounds = _Bounds(quiver, cut_type)
-    packed, edges = _walk_lattice(bounds)
-    # The componentwise max (min) of a set closed under max (min) is
-    # above (below) every member, so it is also the lexicographically
-    # last (first) of the sorted vectors.
-    return MutationLattice(
-        cut_type=cut_type,
-        packed=packed,
-        hasse_edges=edges,
-        max_index=len(packed) - 1,
-        min_index=0,
-        bounds=bounds,
-    )
+    return MutationLattice(cut_type, _walk_lattice(bounds), bounds)
 
 
 def _distances(adjacency) -> list[int]:

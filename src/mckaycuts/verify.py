@@ -230,8 +230,9 @@ def _junior_correspondence(
 def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
     """The lattice of one positive type; ``oracle_cuts`` is None over budget."""
     lattice = enumerate_cut_lattice(quiver, cut_type)
-    # Each access to ``v_vectors`` unpacks a vector, so read them once.
-    cuts, vecs = lattice.cuts, tuple(lattice.v_vectors)
+    # Each access to ``v_vectors`` unpacks a vector, and each access to
+    # ``hasse_edges`` reads every edge off the ints, so read them once.
+    cuts, vecs, edges = lattice.cuts, tuple(lattice.v_vectors), lattice.hasse_edges
     details = [f"{len(cuts)} cuts"]
     if oracle_cuts is not None:
         assert {c.arrows for c in cuts} == {c.arrows for c in oracle_cuts}
@@ -242,9 +243,8 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         map(operator.sub, vecs[lattice.max_index], vecs[0])
     )
     index = {vec: i for i, vec in enumerate(vecs)}
-    assert len(index) == len(vecs)
     up = {}  # (lower index, vertex) -> upper index
-    for lo, hi, x in lattice.hasse_edges:
+    for lo, hi, x in edges:
         assert (lo, x) not in up, (lo, hi, x)
         a = vecs[lo]
         assert vecs[hi] == (*a[:x], a[x] + 1, *a[x + 1 :]), (lo, hi, x)
@@ -274,7 +274,10 @@ def _mutation_lattice(quiver: McKayQuiver, cut_type, oracle_cuts) -> str:
         for x in filter(None, fall):
             assert (*a[:x], a[x] - 1, *a[x + 1 :]) in index, (a, x)
             falls += 1
-    assert rises == falls == len(lattice.hasse_edges), (rises, falls)
+    assert rises == falls == len(edges), (rises, falls)
+    # The extremes are the first and last cut only if the vectors are
+    # sorted; strictly, so they are distinct.
+    assert all(map(operator.lt, vecs, vecs[1:]))
     assert max_element(quiver, cut_type) == top
     assert max_via_p(quiver, cut_type) == top
     assert min_element(quiver, cut_type) == cuts[lattice.min_index]

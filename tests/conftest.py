@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 import pytest
@@ -53,3 +54,26 @@ def oracle_extremes(quiver, cut_type):
         return found
 
     return end(max), end(min)
+
+
+def assert_same_text(actual: str, expected: str, what: object = "texts") -> None:
+    """Assert that two texts are equal, byte for byte, without a long diff.
+
+    Lengths and sha256 digests are compared first.  On a mismatch the
+    message names ``what`` and gives both, the first differing offset
+    and a few characters on each side of it; pytest's own rendering of
+    a diff of megabytes of text would take minutes.
+    """
+    sizes = len(actual), len(expected)
+    digests = [hashlib.sha256(t.encode()).hexdigest() for t in (actual, expected)]
+    if sizes[0] == sizes[1] and digests[0] == digests[1] and actual == expected:
+        return
+    at = next(
+        (i for i, (a, b) in enumerate(zip(actual, expected)) if a != b), min(sizes)
+    )
+    window = slice(max(at - 40, 0), at + 40)
+    raise AssertionError(
+        f"{what} differ: lengths {sizes[0]} and {sizes[1]}, sha256 "
+        f"{digests[0][:12]} and {digests[1][:12]}, first at offset {at}: "
+        f"{actual[window]!r} != {expected[window]!r}"
+    )

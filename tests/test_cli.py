@@ -30,7 +30,7 @@ from mckaycuts.mutation import MutationLattice, enumerate_cut_lattice
 from mckaycuts.quiver import Cut, build_mckay, is_acyclic
 from mckaycuts.typesimplex import enumerate_types
 import record_golden
-from conftest import NAMED_SPECS, oracle_extremes
+from conftest import NAMED_SPECS, assert_same_text, oracle_extremes
 from oracles import all_cuts_exhaustive
 
 THIRD = {"n": 2, "generators": [{"order": 3, "weights": [1, 1, 1]}]}
@@ -753,12 +753,7 @@ class TestLatticeStreaming:
         # is read off its slacks, and the CLI prints the walk's masks.
         bounds = mutation._Bounds(quiver, lattice.cut_type)
         fresh = MutationLattice(
-            lattice.cut_type,
-            tuple(map(bounds.pack, lattice.v_vectors)),
-            lattice.hasse_edges,
-            lattice.max_index,
-            lattice.min_index,
-            bounds,
+            lattice.cut_type, tuple(map(bounds.pack, lattice.v_vectors)), bounds
         )
         expected = json.dumps(fresh.to_json(), indent=2) + "\n"
 
@@ -775,32 +770,35 @@ class TestLatticeStreaming:
             ["--input", write_input(self.GROUP), "lattice", "--type", "7,11,6"],
         )
         assert code == 0
-        assert out == expected
+        assert_same_text(out, expected)
 
     def test_m30_digest_and_peak_memory(self, write_input):
-        # 14,955 cuts and about 20 MB of JSON.  The digest pins the bytes;
-        # the bound fails if the lattice keeps a Cut per member again,
-        # which took the CLI's peak RSS to about 109 MiB.  A child's peak
-        # RSS starts at that of the process it was forked from, so the CLI
-        # is started from a small intermediate process, not from pytest.
+        # 14,955 cuts and 65,424 Hasse edges, about 63 MB of JSON.  The
+        # digests pin the bytes.  The JSON bound fails if the lattice keeps
+        # a Cut per member again, which took the CLI's peak RSS to about
+        # 109 MiB; the DOT bound fails if the edges are stored or the DOT
+        # text is built whole again, which took it to about 40 MiB.  A
+        # child's peak RSS starts at that of the process it was forked
+        # from, so the CLI is started from a small intermediate process,
+        # not from pytest.
         group = {"n": 2, "generators": [{"order": 30, "weights": [1, 5, 24]}]}
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", PEAK_RSS_PROBE,
-             sys.executable, "-m", "mckaycuts.cli",
-             "--input", write_input(group), "lattice", "--type", "8,10,12"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, digest, peak_kib = proc.stdout.split()
-        assert code == "0"
-        assert digest == record_golden.find_row(
-            GOLDEN, "c30", ["lattice", "--type", "8,10,12"]
-        )["sha256"]
-        assert int(peak_kib) < 64 * 1024
+        path = write_input(group)
+        for extra, bound_mib in (([], 64), (["--format", "dot"], 32)):
+            command = ["lattice", "--type", "8,10,12", *extra]
+            proc = subprocess.run(
+                [sys.executable, "-c", PEAK_RSS_PROBE,
+                 sys.executable, "-m", "mckaycuts.cli", "--input", path, *command],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, digest, peak_kib = proc.stdout.split()
+            assert code == "0"
+            assert digest == record_golden.find_row(GOLDEN, "c30", command)["sha256"]
+            assert int(peak_kib) < bound_mib * 1024, command
 
     @pytest.mark.parametrize("group, command, read", [
         # About 6 MB of output, more than a pipe buffer holds.
@@ -809,6 +807,8 @@ class TestLatticeStreaming:
         (THIRD, ["types"], 0),
         # About 3.5 MB, streamed in chunks as the lattice is.
         (C300, ["construct", "--type", C300_TYPE], 100),
+        # About 340 KB of DOT, streamed line by line.
+        (GROUP, ["lattice", "--type", "7,11,6", "--format", "dot"], 100),
     ])
     def test_closed_pipe_exits_141_quietly(self, write_input, group, command, read):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

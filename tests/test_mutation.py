@@ -1,6 +1,7 @@
 """Cut mutation, mutation lattices, and extremal elements."""
 
 import json
+import re
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -38,7 +39,7 @@ from mckaycuts.quiver import (
 )
 from mckaycuts.typesimplex import enumerate_types
 from mckaycuts.verify import brute_force_cuts
-from conftest import NAMED_SPECS, instance, oracle_extremes
+from conftest import NAMED_SPECS, assert_same_text, instance, oracle_extremes
 from oracles import all_cuts_exhaustive, walk_lattice_by_slacks
 
 
@@ -679,14 +680,7 @@ class TestHasseTransitiveReduction:
 
 def rebuilt(lattice, packed, bounds):
     """``lattice`` with other packed cuts and bounds, through the constructor."""
-    return MutationLattice(
-        lattice.cut_type,
-        packed,
-        lattice.hasse_edges,
-        lattice.max_index,
-        lattice.min_index,
-        bounds,
-    )
+    return MutationLattice(lattice.cut_type, packed, bounds)
 
 
 def dumped(lattice) -> str:
@@ -727,7 +721,8 @@ class TestLatticeJsonChunks:
         for quiver in small_group_quivers():
             for cut_type in enumerate_types(quiver.embedding).all_types:
                 lattice = enumerate_cut_lattice(quiver, cut_type)
-                assert "".join(lattice.json_chunks()) == dumped(lattice), cut_type
+                text = "".join(lattice.json_chunks())
+                assert_same_text(text, dumped(lattice), cut_type)
                 assert_views_act_as_tuples(quiver, lattice)
                 nonpositive += not all(cut_type)
                 single += len(lattice.cuts) == 1
@@ -746,8 +741,8 @@ class TestLatticeJsonChunks:
             assert tuple(copy.v_vectors) == reverse
             assert tuple(copy.cuts) == tuple(lattice.cuts)[::-1]
             text = "".join(copy.json_chunks())
-            assert text == json.dumps(copy.to_json(), indent=2) + "\n"
-            assert text == dumped(copy)
+            assert_same_text(text, json.dumps(copy.to_json(), indent=2) + "\n")
+            assert_same_text(text, dumped(copy))
         for view in ("cuts", "v_vectors"):
             with pytest.raises(AttributeError):
                 setattr(copy, view, tuple(getattr(copy, view)))
@@ -763,7 +758,7 @@ class TestLatticeJsonChunks:
         types = enumerate_types(quiver.embedding).all_types
         cut_type = data.draw(st.sampled_from(types))
         lattice = enumerate_cut_lattice(quiver, cut_type)
-        assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_same_text("".join(lattice.json_chunks()), dumped(lattice))
         assert_views_act_as_tuples(quiver, lattice)
 
     def test_a_vector_off_the_bounds_is_refused(self):
@@ -799,6 +794,26 @@ class TestLatticeJsonChunks:
             copy.cuts[1]
         with pytest.raises(AssertionError):
             "".join(copy.json_chunks())
+
+    def test_a_copy_missing_an_upper_end_is_refused(self):
+        # 1/6(1,2,3), type (1,2,3): with a middle int dropped, some cut
+        # rises to the missing vector.  Reading the edges names it; no
+        # KeyError, and no edge to another cut's index.
+        lattice = enumerate_cut_lattice(cyclic_quiver(6, (1, 2, 3)), (1, 2, 3))
+        k = len(lattice.packed) // 2
+        assert 0 < k < lattice.max_index
+        missing = re.escape(f"v = {lattice.v_vectors[k]}, which the lattice lacks")
+        copy = rebuilt(
+            lattice, lattice.packed[:k] + lattice.packed[k + 1 :], lattice.bounds
+        )
+        for read in (
+            lambda: copy.hasse_edges,
+            copy.to_json,
+            lambda: "".join(copy.json_chunks()),
+            lambda: "".join(copy.hasse_dot()),
+        ):
+            with pytest.raises(ValueError, match=missing):
+                read()
 
 
 @st.composite
@@ -841,14 +856,15 @@ class TestPackedWalk:
         assert [(lo, hi) for lo, hi, _ in lattice.hasse_edges] == [
             (i, i + 1) for i in range(n)
         ]
-        assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_same_text("".join(lattice.json_chunks()), dumped(lattice))
         assert_views_act_as_tuples(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)
 
-    def test_the_lattice_holds_under_640_bytes_per_cut(self):
-        # 1/30(1,5,24), type (8,10,12): 14,955 cuts.  The packed ints and
-        # the Hasse edges hold about 470 bytes per cut; a tuple per vector
-        # and a table of the walk's ints beside them took about 790.
+    def test_the_lattice_holds_under_200_bytes_per_cut(self):
+        # 1/30(1,5,24), type (8,10,12): 14,955 cuts.  The packed ints alone
+        # hold about 100 bytes per cut; the stored Hasse edges beside them
+        # took about 470, and a tuple per vector and a table of the walk's
+        # ints beside those about 790.
         quiver = cyclic_quiver(30, (1, 5, 24))
         tracemalloc.start()
         try:
@@ -857,13 +873,13 @@ class TestPackedWalk:
         finally:
             tracemalloc.stop()
         assert len(lattice.packed) == 14955
-        assert held / len(lattice.packed) < 640
+        assert held / len(lattice.packed) < 200
 
     def test_two_byte_vector_digits(self):
         # m = 130: a digit v[x] + m reaches 2m - 1 = 259, past one byte.
         quiver = cyclic_quiver(130, (1, 5, 124))
         lattice = enumerate_cut_lattice(quiver, (1, 5, 124))
         assert len(lattice.v_vectors) == 130
-        assert "".join(lattice.json_chunks()) == dumped(lattice)
+        assert_same_text("".join(lattice.json_chunks()), dumped(lattice))
         assert_views_act_as_tuples(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)

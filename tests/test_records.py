@@ -89,6 +89,19 @@ def test_record_semantics(name):
         assert bool(re.search(rf"\b{field}=", text)) is (field not in hidden), field
 
 
+def test_the_lattice_holds_its_type_ints_and_bounds_alone():
+    # The Hasse edges and the extremes are read off the sorted ints.
+    lattice = enumerate_cut_lattice(_quiver(), TYPE)
+    assert type(lattice)._fields == ("cut_type", "packed", "bounds")
+    assert tuple(vars(lattice)) == type(lattice)._fields
+    assert repr(lattice) == "MutationLattice(cut_type=(1, 1, 1))"
+    assert (lattice.min_index, lattice.max_index) == (0, 2)
+    assert lattice.hasse_edges == ((0, 1, 1), (1, 2, 2))
+    for derived in ("hasse_edges", "max_index", "min_index"):
+        with pytest.raises(AttributeError):
+            setattr(lattice, derived, None)
+
+
 # The modules whose functions the benchmark's trace mode wraps right
 # after importing the CLI (perfbench/spans.py).
 TRACED_MODULES = [

@@ -68,17 +68,25 @@ def test_cut_file_accepts_arrows_as_lists():
     assert entry["status"] == "pass"
 
 
-def _rebuild(lattice, **changes):
-    """A copy of the lattice, built by its constructor, with some fields changed."""
-    fields = {
-        "cut_type": lattice.cut_type,
-        "packed": lattice.packed,
-        "hasse_edges": lattice.hasse_edges,
-        "max_index": lattice.max_index,
-        "min_index": lattice.min_index,
-        "bounds": lattice.bounds,
-    }
-    return MutationLattice(**{**fields, **changes})
+def _rebuild(lattice, packed):
+    """A copy of the lattice with other ints, built by its constructor."""
+    return MutationLattice(lattice.cut_type, packed, lattice.bounds)
+
+
+class _OtherEdges:
+    """A lattice as the harness reads it, but with other Hasse edges.
+
+    The lattice stores no edges, so a doctor of its edges hands the
+    harness this stand-in: ``hasse_edges`` is the doctored tuple, and
+    every other attribute is the lattice's own.
+    """
+
+    def __init__(self, lattice, hasse_edges):
+        self.lattice = lattice
+        self.hasse_edges = hasse_edges
+
+    def __getattr__(self, name):
+        return getattr(self.lattice, name)
 
 
 def _middle_pair(lattice):
@@ -88,25 +96,31 @@ def _middle_pair(lattice):
 
 
 def _swap_vectors(lattice):
-    """Swap two middle ints, and with their vectors the cuts read off them."""
+    """Swap two middle ints, and with their vectors the cuts read off them.
+
+    The edges read off the swapped ints are genuine for their new order,
+    so only the sort of the vectors, on which the extremes rest, can
+    notice.
+    """
     packed = list(lattice.packed)
     i, j = _middle_pair(lattice)
     packed[i], packed[j] = packed[j], packed[i]
-    return _rebuild(lattice, packed=tuple(packed))
+    return _rebuild(lattice, tuple(packed))
 
 
 def _swap_cuts(lattice):
     """Swap the masks of two middle ints, keeping their vectors.
 
     The vectors, edges and extremes stay genuine; only the cuts read off
-    the ints disagree with their vectors.
+    the ints disagree with their vectors.  Edges read off the swapped
+    masks would already differ, so the harness gets the genuine ones.
     """
     packed = list(lattice.packed)
     i, j = _middle_pair(lattice)
     flip = (packed[i] ^ packed[j]) & lattice.bounds.all_bits
     packed[i] ^= flip
     packed[j] ^= flip
-    return _rebuild(lattice, packed=tuple(packed))
+    return _OtherEdges(_rebuild(lattice, tuple(packed)), lattice.hasse_edges)
 
 
 def _moved_vector(lattice):
@@ -115,38 +129,36 @@ def _moved_vector(lattice):
     The digit of vertex x sits ``8 * size * (m - 1 - x)`` bits above the
     mask (see ``_Bounds``), so the vector moves up by one at vertex 1 and
     its cut, read off the old mask, disagrees with it by one step there.
+    Edges read off the moved int would name the missing vector, so the
+    harness gets the genuine ones.
     """
     bounds = lattice.bounds
     packed = list(lattice.packed)
     k = _middle_pair(lattice)[0]
     packed[k] += 1 << bounds.low + 8 * bounds.size * (bounds.quiver.m - 2)
-    return _rebuild(lattice, packed=tuple(packed))
+    return _OtherEdges(_rebuild(lattice, tuple(packed)), lattice.hasse_edges)
 
 
 def _drop_middle(lattice):
     """Drop a non-extreme int, and so its vector and cut, and renumber the edges.
 
     Every remaining vector, edge and extreme is genuine, so only the
-    unit-step closure of the vectors can notice the hole.
+    unit-step closure of the vectors can notice the hole.  Edges read
+    off the remaining ints would name it (a ValueError), so the harness
+    gets the edges that survive, renumbered.
     """
-    k = next(
-        k for k in range(len(lattice.packed))
-        if k not in (lattice.min_index, lattice.max_index)
-    )
+    k = _middle_pair(lattice)[0]
 
     def renumber(i):
         return i - (i > k)
 
-    return _rebuild(
-        lattice,
-        packed=lattice.packed[:k] + lattice.packed[k + 1 :],
-        hasse_edges=tuple(
+    return _OtherEdges(
+        _rebuild(lattice, lattice.packed[:k] + lattice.packed[k + 1 :]),
+        tuple(
             (renumber(lo), renumber(hi), x)
             for lo, hi, x in lattice.hasse_edges
             if k not in (lo, hi)
         ),
-        max_index=renumber(lattice.max_index),
-        min_index=renumber(lattice.min_index),
     )
 
 
@@ -154,15 +166,15 @@ DOCTORS = {
     "none": lambda lat: lat,
     "swap_cuts": _swap_cuts,
     "swap_vectors": _swap_vectors,
-    "drop_edge": lambda lat: _rebuild(lat, hasse_edges=lat.hasse_edges[1:]),
-    "min_to_max_edge": lambda lat: _rebuild(
-        lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 1),)
+    "drop_edge": lambda lat: _OtherEdges(lat, lat.hasse_edges[1:]),
+    "min_to_max_edge": lambda lat: _OtherEdges(
+        lat, lat.hasse_edges + ((lat.min_index, lat.max_index, 1),)
     ),
     "drop_middle_cut": _drop_middle,
     "moved_vector": _moved_vector,
     # The origin is never mutated, so this edge duplicates no real one.
-    "min_to_max_edge_at_origin": lambda lat: _rebuild(
-        lat, hasse_edges=lat.hasse_edges + ((lat.min_index, lat.max_index, 0),)
+    "min_to_max_edge_at_origin": lambda lat: _OtherEdges(
+        lat, lat.hasse_edges + ((lat.min_index, lat.max_index, 0),)
     ),
 }
 
