@@ -169,7 +169,7 @@ def _construct_chunks(quiver, cut):
     """Yield the ``construct`` JSON in pieces.
 
     The cut and its height function come out in one piece each, then the
-    degree-zero arrows and squares about one arrow at a time.  The text
+    degree-zero arrows and squares 64 to a chunk.  The text
     is that of ``json.dumps(tree, indent=2) + "\\n"`` for the tree of the
     cut (``cut_to_json``), its height function, the degree-zero
     presentation and whether it is acyclic, but of that tree only the

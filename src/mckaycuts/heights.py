@@ -46,7 +46,7 @@ import operator
 
 from .errors import NotACutError
 from .intlat import LatticeEmbedding, Vec, _Record
-from .quiver import Arrow, Cut, McKayQuiver, check_arrows
+from .quiver import Arrow, Cut, McKayQuiver, _vertex_label, check_arrows
 from .typesimplex import is_admissible_type
 
 
@@ -115,7 +115,7 @@ class HeightFunction(_Record):
     def to_json(self) -> dict:
         return {
             "values": {
-                ",".join(str(c) for c in rep): value
+                _vertex_label(rep): value
                 for rep, value in zip(
                     self.embedding.fundamental_domain(), self.values
                 )

@@ -21,8 +21,8 @@ every type; for a positive type every class is a single vertex and the
 moves are exactly the mutations at nonzero sources and sinks.
 
 The walk runs on ints.  A cut is the bit mask of the arrows it holds,
-arrow (u, t) at bit ``slot * u + t - 1`` with ``slot`` = n+1 rounded
-up to whole bytes.  A class rises when it holds every arrow into it
+bit i holding arrow i of the arrows sorted by vertex and then type.
+A class rises when it holds every arrow into it
 from another class and none out of it, ``held & flip == into`` with
 ``flip = into | out``, falls when that AND equals ``out``, and either
 move is ``held ^ flip``: one AND decides each move.  The walk starts at
@@ -44,8 +44,8 @@ vector off the step check of its potential ``xi + m * v``, which cuts
 the arrows whose difference is at its lower bound.  ``_Bounds.mask``
 reads a mask back and checks the cut's type on every read; ``vector``
 and ``cut`` read the rest.  The lattice JSON reads each cut's arrows
-off its mask, a table of arrow texts per byte, so ``cuts`` holds the
-same arrows that the ``lattice`` command prints.
+off its mask, a table of arrow texts per byte of eight arrows, so
+``cuts`` holds the same arrows that the ``lattice`` command prints.
 
 The extremes of every admissible type, nonpositive ones included, are
 shortest-path distances, each from one pass of the same Dijkstra
@@ -70,17 +70,13 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress
 
 from .construct import _arrow_json, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
 from .heights import _cut_potential, _cut_steps, _seed_potential
 from .intlat import Vec, _Record
-from .quiver import (
-    Cut,
-    McKayQuiver,
-    type_of,
-)
+from .quiver import Cut, McKayQuiver, _vertex_label
 from .typesimplex import require_admissible
 
 
@@ -260,40 +256,34 @@ class MutationLattice(_Record):
     def json_chunks(self):
         """Yield ``json.dumps(self.to_json(), indent=2) + "\\n"`` in pieces.
 
-        The text is written about one cut at a time, and the vectors and
-        edges 64 to a chunk; neither the dict tree nor the whole string is
+        The text is written 64 cuts, vectors or edges to a chunk (see
+        ``_json_array``); neither the dict tree nor the whole string is
         built, nor any ``Cut``.  Each cut's arrows are read off its int's
-        mask (``bounds.mask``, which also checks the cut's type): the mask's
-        little-endian bytes list the arrows in sorted order, and each
+        mask (``bounds.mask``, which also checks the cut's type).  Bit i
+        is arrow i of ``bounds.pairs``, in sorted order, so byte j of the
+        mask's little-endian bytes holds arrows 8j to 8j + 7, and each
         byte position has a table of the text of the arrows a byte value
-        holds, so a cut's array is one join over its bytes.  An arrow's
+        holds: a cut's array is one join over its bytes.  An arrow's
         object depends only on (vertex, type), so each fragment is
         encoded once and then reused.
         """
         bounds = self.bounds
         quiver = bounds.quiver
-        k, size = quiver.n + 1, bounds.slot // 8
-        width = quiver.m * size
-        # Byte p holds the types 8j+1, ..., 8j+8 (j = p mod size) of the
-        # arrows out of vertex p // size.  Each item of a cut's "arrows"
-        # array comes with the separator before it; a cut holds m >= 1
-        # arrows, so the first separator is dropped from a nonempty text.
-        tables = [
-            _ArrowTexts(
-                [
-                    ",\n        " + _indented(_arrow_json(quiver, p // size, t), 4)
-                    for t in range(8 * (p % size) + 1, min(8 * (p % size) + 8, k) + 1)
-                ]
-            )
-            for p in range(width)
+        # Each item of a cut's "arrows" array comes with the separator
+        # before it; a cut holds m >= 1 arrows, so the first separator is
+        # dropped from a nonempty text.
+        texts = [
+            ",\n        " + _indented(_arrow_json(quiver, u, t), 4)
+            for u, t in bounds.pairs
         ]
+        tables = [_ArrowTexts(texts[i : i + 8]) for i in range(0, len(texts), 8)]
         cut_head = (
             '{\n      "type": ' + _indented(self.cut_type, 3)
             + ',\n      "arrows": ['
         )
 
         def cut_text(packed):
-            held = bounds.mask(packed).to_bytes(width, "little")
+            held = bounds.mask(packed).to_bytes(len(tables), "little")
             arrows = "".join(map(_ArrowTexts.__getitem__, tables, held))
             return f"{cut_head}{arrows[1:]}\n      ]\n    }}"
 
@@ -314,9 +304,9 @@ class MutationLattice(_Record):
         yield '{\n  "type": ' + _indented(self.cut_type, 1) + ',\n  "cuts": '
         yield from _json_array(map(cut_text, self.packed), 1)
         yield ',\n  "v_vectors": '
-        yield from _json_array(_blocks(map(vector_text, self.packed)), 1)
+        yield from _json_array(map(vector_text, self.packed), 1)
         yield ',\n  "hasse_edges": '
-        yield from _json_array(_blocks(edge_texts), 1)
+        yield from _json_array(edge_texts, 1)
         yield (
             f',\n  "max_index": {self.max_index},'
             f'\n  "min_index": {self.min_index}\n}}\n'
@@ -325,25 +315,13 @@ class MutationLattice(_Record):
     def hasse_dot(self):
         """Yield the DOT text of the Hasse diagram line by line."""
         bounds = self.bounds
-        vertices = [",".join(map(str, x)) for x in bounds.quiver.vertices]
+        vertices = list(map(_vertex_label, bounds.quiver.vertices))
         yield "digraph hasse {\n  rankdir=BT;\n"
         for i, vec in enumerate(map(bounds.vector, self.packed)):
             yield f'  c{i} [label="v=({",".join(map(bounds.digit_text, vec))})"];\n'
         for lo, hi, vx in self._covers():
             yield f'  c{lo} -> c{hi} [label="{vertices[vx]}"];\n'
         yield "}\n"
-
-
-def _blocks(texts, size: int = 64):
-    """The items of a JSON array one level deep, ``size`` to a chunk.
-
-    Joined with the array's separator, a block reads as that many items
-    to ``_json_array``, so the text is the same and is written in a
-    size-th of the chunks.
-    """
-    texts = iter(texts)
-    while block := list(islice(texts, size)):
-        yield ",\n    ".join(block)
 
 
 class _Bounds:
@@ -362,12 +340,11 @@ class _Bounds:
     every cut.
 
     A cut is one int, its packed v-vector above its mask, and this class
-    owns that layout.  The mask holds arrow (u, t) at bit ``slot * u + t
-    - 1``, ``slot`` being n+1 rounded up to whole bytes, so the
-    little-endian bytes of a mask fall into whole bytes per vertex, in
-    the order of ``arrows``; ``bits`` lists each arrow's bit in that
-    order, and ``type_masks[t - 1]`` holds the bits of the arrows of
-    type t.  The mask is the low ``low = m * slot`` bits (``all_bits``).
+    owns that layout.  Bit i of the mask is arrow i of ``arrows``, and
+    ``bits`` lists each arrow's bit in that order: the one statement of
+    the mask's layout.  ``type_masks[t - 1]`` holds the bits of the
+    arrows of type t, every (n+1)-th from bit t - 1.  The mask is the low
+    ``low = (n+1) * m`` bits (``all_bits``).
     Above it each vertex has a digit ``v[x] + m`` of ``size`` whole
     bytes, enough for 2m, with vertex 0 the most significant.  Every
     |v[x]| is at most m - 1: v[0] = 0, v changes by at most 1 along each
@@ -399,20 +376,15 @@ class _Bounds:
             for t, w, g in zip(quiver.types, row, cut_type)
         ]
         self.pairs = [(u, t) for u, t, _, _ in self.arrows]
-        self.slot = 8 * -(-k // 8)
-        self.bits = [1 << self.slot * u + t - 1 for u, t in self.pairs]
-        self.low = m * self.slot
+        self.bits = [1 << i for i in range(len(self.arrows))]
+        self.low = len(self.arrows)
         self.all_bits = (1 << self.low) - 1
         self.size = -(-(2 * m).bit_length() // 8)
         # One int object per digit value, shared by every vector read, and
         # the text of each value: |v[x]| < m, and a lookup beats ``str``.
         self.values = [x - m for x in range(2 * m)]
         self.digit_text = {x: str(x) for x in range(1 - m, m)}.__getitem__
-        # The arrows of type t + 1 are bit t of every vertex's slot.
-        self.type_masks = [
-            int.from_bytes((1 << t).to_bytes(self.slot // 8, "little") * m, "little")
-            for t in range(k)
-        ]
+        self.type_masks = [sum(self.bits[t::k]) for t in range(k)]
 
     def classes(self) -> list[tuple[int, int, int, int]]:
         """(flip, into, step, first vertex) of every class but the origin's.
@@ -489,14 +461,14 @@ class _Bounds:
         or of any length but m.
         """
         v = tuple(v)
-        m, slot = self.quiver.m, self.slot
+        m = self.quiver.m
         if len(v) != m:
             raise ValueError(f"a v-vector has m = {m} entries, not {len(v)}")
         if v[0]:
             raise ValueError(f"not a height function: v[0] = {v[0]}, not 0")
         potential = [x + m * d for x, d in zip(self.xi, v)]
         steps = _cut_steps(self.quiver, self.cut_type, potential)
-        mask = sum(1 << slot * u + t - 1 for u, t in steps)
+        mask = sum(compress(self.bits, map(steps.__contains__, self.pairs)))
         digits = b"".join((x + m).to_bytes(self.size, "big") for x in v)
         # ``mask`` checks the type of a bare mask too.
         return int.from_bytes(digits, "big") << self.low | self.mask(mask)
@@ -534,7 +506,7 @@ class _ArrowTexts(dict):
     ``texts[i]`` is the text of the arrow at bit i of the byte, with the
     separator before it.  A byte value's text is joined the first time a
     cut has it, so only the values that occur are built: a table of every
-    value would hold 2^(n+1) texts per vertex.
+    value would hold 256 texts per byte.
     """
 
     __slots__ = ("texts",)
@@ -730,18 +702,16 @@ def max_via_p(quiver: McKayQuiver, cut_type) -> Cut:
     (n+1) g_i, so the cut is read off D by the step check of
     :mod:`mckaycuts.heights`, which certifies that D is the potential of
     a height function of the requested type; a failure raises
-    SearchBoundExceededError.
+    SearchBoundExceededError.  No type recount is needed: the m arrows of
+    type t permute the vertices, so D's steps along them sum to 0, and
+    with every step g_t or g_t - m exactly g_t of them are cut.
     """
     cut_type = require_admissible(quiver.embedding, cut_type)
     dist = _distances([tuple(zip(row, cut_type)) for row in quiver.targets])
     try:
-        cut = Cut(quiver=quiver, arrows=_cut_steps(quiver, cut_type, dist))
+        arrows = _cut_steps(quiver, cut_type, dist)
     except ValueError as exc:
         raise SearchBoundExceededError(
             f"candidate maximum failed certification ({exc})"
         ) from exc
-    if type_of(cut) != cut_type:
-        raise SearchBoundExceededError(
-            f"candidate maximum has type {type_of(cut)} instead of {cut_type}"
-        )
-    return cut
+    return Cut(quiver=quiver, arrows=arrows)

@@ -849,7 +849,7 @@ class TestPackedWalk:
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_more_types_than_one_byte_holds(self, n):
         # 1/(n+1)(1,...,1), type (1,...,1): 8, 9 and 10 arrows per vertex,
-        # so from n = 8 on each vertex's arrows take two bytes of a mask.
+        # so from n = 8 on a vertex's arrows straddle two bytes of a mask.
         quiver = cyclic_quiver(n + 1, (1,) * (n + 1))
         lattice = enumerate_cut_lattice(quiver, (1,) * (n + 1))
         assert len(lattice.v_vectors) == n + 1
@@ -860,11 +860,10 @@ class TestPackedWalk:
         assert_views_act_as_tuples(quiver, lattice)
         assert_walk_matches_oracle(quiver, lattice)
 
-    def test_the_lattice_holds_under_200_bytes_per_cut(self):
+    def test_the_lattice_holds_under_90_bytes_per_cut(self):
         # 1/30(1,5,24), type (8,10,12): 14,955 cuts.  The packed ints alone
-        # hold about 100 bytes per cut; the stored Hasse edges beside them
-        # took about 470, and a tuple per vector and a table of the walk's
-        # ints beside those about 790.
+        # hold about 81 bytes per cut, and about 101 if each vertex's arrow
+        # bits were padded to whole bytes.
         quiver = cyclic_quiver(30, (1, 5, 24))
         tracemalloc.start()
         try:
@@ -873,7 +872,7 @@ class TestPackedWalk:
         finally:
             tracemalloc.stop()
         assert len(lattice.packed) == 14955
-        assert held / len(lattice.packed) < 200
+        assert held / len(lattice.packed) < 90
 
     def test_two_byte_vector_digits(self):
         # m = 130: a digit v[x] + m reaches 2m - 1 = 259, past one byte.

@@ -1,5 +1,7 @@
 """The package's read-only records, and the modules a CLI process loads."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -115,6 +117,28 @@ TRACED_MODULES = [
     "mckaycuts.typesimplex",
     "mckaycuts.verify",
 ]
+
+
+def _span_targets():
+    """The (module, attribute) pairs of ``SPANS`` in perfbench/spans.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "SPANS":
+            spans = ast.literal_eval(node.value)
+            return [pair for pairs in spans.values() for pair in pairs]
+    raise AssertionError("perfbench/spans.py assigns no SPANS")
+
+
+@pytest.mark.parametrize("module_name, attr", _span_targets())
+def test_every_span_target_resolves(module_name, attr):
+    # The trace mode wraps ``owner.__dict__[key]``, so a renamed target
+    # breaks ``--trace 1``.
+    assert module_name in TRACED_MODULES
+    owner = importlib.import_module(module_name)
+    *classes, key = attr.split(".")
+    for name in classes:
+        owner = owner.__dict__[name]
+    assert callable(owner.__dict__[key])
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
