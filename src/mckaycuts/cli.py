@@ -23,23 +23,23 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from functools import cache
+from itertools import starmap
 from math import factorial
 
 from .construct import (
-    _arrow_json,
+    _arrow_text,
     _indented,
     _json_array,
+    _relation_squares,
     construct_cut,
     cut_from_json,
     cut_to_json,
-    degree_zero_presentation,
 )
 from .errors import InadmissibleTypeError, SearchBoundExceededError
 from .groups import _number_text, parse_input
 from .heights import height_from_cut
 from .mutation import enumerate_cut_lattice, max_element, max_via_p, min_element
-from .quiver import build_mckay, is_acyclic, quiver_to_dot
+from .quiver import build_mckay, cut_quiver, is_acyclic, quiver_to_dot, type_of
 from .typesimplex import enumerate_types, require_admissible
 from .verify import run_verification
 
@@ -168,32 +168,33 @@ def _cmd_construct(args, embedding, spec) -> int:
 def _construct_chunks(quiver, cut):
     """Yield the ``construct`` JSON in pieces.
 
-    The cut and its height function come out in one piece each, then the
-    degree-zero arrows and squares 64 to a chunk.  The text
-    is that of ``json.dumps(tree, indent=2) + "\\n"`` for the tree of the
-    cut (``cut_to_json``), its height function, the degree-zero
-    presentation and whether it is acyclic, but of that tree only the
-    cut's and the height function's parts are built.  Every arrow is
-    written once at depth 3, as a cut arrow or as an arrow of the cut
-    quiver; the arrows of the relation squares sit at depth 4 and recur,
-    so each of their texts is encoded once and reused.
+    The text is that of ``json.dumps(tree, indent=2) + "\\n"`` for the
+    tree of the cut (``cut_to_json``), its height function, the
+    degree-zero presentation (``degree_zero_presentation``) and whether
+    it is acyclic, but only the height function's part of that tree is
+    built.  Every arrow object is written by ``_arrow_text``: the cut's
+    sorted arrows and the cut quiver's arrows at depth 3, 64 to a chunk,
+    then each relation square, streamed from ``_relation_squares``, as
+    one join of its four arrows at depth 4.  The cut quiver is built only
+    for the closing ``acyclic`` verdict.
     """
-    sub, relations = degree_zero_presentation(quiver, cut)
-
-    def arrow_text(depth):
-        return lambda arrow: _indented(_arrow_json(quiver, *arrow), depth)
-
-    square_arrow = cache(arrow_text(4))
-    yield '{\n  "cut": ' + _indented(cut_to_json(cut), 1)
-    yield ',\n  "height": ' + _indented(height_from_cut(quiver, cut).to_json(), 1)
-    yield ',\n  "degree_zero": {\n    "arrows": '
-    yield from _json_array(map(arrow_text(3), sub.arrows), 2)
-    yield ',\n    "relations": '
-    yield from _json_array(
-        ("".join(_json_array(map(square_arrow, square), 3)) for square in relations),
-        2,
+    arrow, square_arrow = _arrow_text(quiver, 3), _arrow_text(quiver, 4)
+    sep = ",\n" + "  " * 4
+    squares = (
+        "[" + sep[1:] + sep.join(starmap(square_arrow, square)) + "\n      ]"
+        for square in _relation_squares(quiver, cut)
     )
-    yield '\n  },\n  "acyclic": ' + _indented(is_acyclic(sub), 1) + "\n}\n"
+    kept = (a for a in quiver.arrows() if a not in cut.arrows)
+    yield '{\n  "cut": {\n    "type": ' + _indented(type_of(cut), 2)
+    yield ',\n    "arrows": '
+    yield from _json_array(starmap(arrow, cut.sorted_arrows()), 2)
+    yield '\n  },\n  "height": ' + _indented(height_from_cut(quiver, cut).to_json(), 1)
+    yield ',\n  "degree_zero": {\n    "arrows": '
+    yield from _json_array(starmap(arrow, kept), 2)
+    yield ',\n    "relations": '
+    yield from _json_array(squares, 2)
+    acyclic = is_acyclic(cut_quiver(quiver, cut))
+    yield '\n  },\n  "acyclic": ' + _indented(acyclic, 1) + "\n}\n"
 
 
 def _cmd_lattice(args, embedding, spec) -> int:

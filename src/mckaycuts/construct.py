@@ -50,24 +50,50 @@ def degree_zero_presentation(
 ) -> tuple[Subquiver, tuple[RelationSquare, ...]]:
     """Cut quiver plus the commutativity squares that survive the cut.
 
-    Each surviving relation is returned as the four arrows
-    ``(a_i, a_j, b_j, b_i)`` with ``a_i a_j = b_j b_i``, for a vertex v
-    and types i < j in that order, kept only when none of the four is a
-    cut arrow.  Together with the cut quiver this presents the
-    degree-zero part of the graded algebra.
+    The squares are those of ``_relation_squares``, collected into a
+    tuple; together with the cut quiver they present the degree-zero part
+    of the graded algebra.  The ``construct`` command streams the same
+    squares from the generator and builds neither the tuple nor a tree.
     """
-    relations = []
+    return cut_quiver(quiver, cut), tuple(_relation_squares(quiver, cut))
+
+
+def _relation_squares(quiver: McKayQuiver, cut: Cut):
+    """Yield the commutativity squares that survive the cut.
+
+    Each is the four arrows ``(a_i, a_j, b_j, b_i)`` with
+    ``a_i a_j = b_j b_i``, for a vertex v and types i < j in that order,
+    kept only when none of the four is a cut arrow.
+    """
     for v, row in enumerate(quiver.targets):
         for i, j in combinations(quiver.types, 2):
             square = ((v, i), (row[i - 1], j), (v, j), (row[j - 1], i))
             if cut.arrows.isdisjoint(square):
-                relations.append(square)
-    return cut_quiver(quiver, cut), tuple(relations)
+                yield square
 
 
 def _arrow_json(quiver: McKayQuiver, v: int, t: int) -> dict:
     """The JSON object of the arrow of type t out of vertex v."""
     return {"source": list(quiver.vertices[v]), "arrow_type": t}
+
+
+def _arrow_text(quiver: McKayQuiver, depth: int):
+    """(v, t) -> ``_indented(_arrow_json(quiver, v, t), depth)``.
+
+    The text of every arrow object the streamed outputs print: constant
+    pieces for the depth around one join of the source's coordinates (a
+    vertex has n >= 1 of them), with no dict built.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    sep = "," + pad + "  "
+    head = "{" + pad + '"source": [' + sep[1:]
+    middle = pad + "]," + pad + '"arrow_type": '
+    tail = pad[:-2] + "}"
+
+    def text(v: int, t: int) -> str:
+        return head + sep.join(map(str, quiver.vertices[v])) + middle + str(t) + tail
+
+    return text
 
 
 def _indented(obj, depth: int) -> str:

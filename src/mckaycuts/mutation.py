@@ -72,7 +72,7 @@ from collections.abc import Sequence
 from heapq import heappop, heappush
 from itertools import compress
 
-from .construct import _arrow_json, _indented, _json_array, cut_to_json
+from .construct import _arrow_text, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
 from .heights import _cut_potential, _cut_steps, _seed_potential
 from .intlat import Vec, _Record
@@ -184,10 +184,11 @@ class MutationLattice(_Record):
     read them once.  ``to_json`` builds the JSON tree; ``json_chunks``
     writes the same tree's ``indent=2`` text piece by piece without
     building it, which is how the ``lattice`` command prints it, and
-    ``hasse_dot`` writes the DOT text line by line.  The fragment encoder
-    ``_indented`` and the array layout ``_json_array`` it uses live in
-    ``construct``, next to ``_arrow_json``, and also serve the
-    ``construct`` command.
+    ``hasse_dot`` writes the DOT text line by line.  The arrow formatter
+    ``_arrow_text``, the fragment encoder ``_indented`` and the array
+    layout ``_json_array`` that ``json_chunks`` uses live in
+    ``construct``, next to ``_arrow_json`` of ``to_json``'s tree, and also
+    write the ``construct`` command's output.
     """
 
     cut_type: Vec
@@ -264,18 +265,16 @@ class MutationLattice(_Record):
         mask's little-endian bytes holds arrows 8j to 8j + 7, and each
         byte position has a table of the text of the arrows a byte value
         holds: a cut's array is one join over its bytes.  An arrow's
-        object depends only on (vertex, type), so each fragment is
-        encoded once and then reused.
+        object depends only on (vertex, type), so each is written once, by
+        ``_arrow_text``, and then reused.
         """
         bounds = self.bounds
         quiver = bounds.quiver
         # Each item of a cut's "arrows" array comes with the separator
         # before it; a cut holds m >= 1 arrows, so the first separator is
         # dropped from a nonempty text.
-        texts = [
-            ",\n        " + _indented(_arrow_json(quiver, u, t), 4)
-            for u, t in bounds.pairs
-        ]
+        arrow = _arrow_text(quiver, 4)
+        texts = [",\n        " + arrow(u, t) for u, t in bounds.pairs]
         tables = [_ArrowTexts(texts[i : i + 8]) for i in range(0, len(texts), 8)]
         cut_head = (
             '{\n      "type": ' + _indented(self.cut_type, 3)

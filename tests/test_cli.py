@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -54,9 +53,13 @@ C300_CONSTRUCT_SHA256 = record_golden.find_row(
 
 # Runs its arguments as a command and prints its exit code, the sha256 of
 # its stdout and its peak RSS in KiB (``ru_maxrss`` from ``wait4``, Linux).
+# The child's peak starts at the probe's own peak when it is spawned, so
+# ``hashlib`` is imported only after the spawn: the OpenSSL it loads adds
+# about 3.7 MiB, more than a streamed ``construct`` call uses.
 PEAK_RSS_PROBE = """
-import hashlib, os, subprocess, sys
+import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+import hashlib
 digest = hashlib.sha256()
 for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
     digest.update(chunk)
@@ -549,9 +552,12 @@ def assert_construct_is_the_tree(group, quiver, cut_type):
 
 @st.composite
 def cyclic_groups_with_types(draw):
-    """A cyclic group 1/m(w) with n <= 3 and m <= 12, its quiver and a type."""
-    n = draw(st.integers(1, 3))
-    order = draw(st.integers(2, 12))
+    """A cyclic group 1/m(w), its quiver and a type: every n the CLI takes.
+
+    m <= 12 for n <= 3 and m <= 8 above, which keeps the quivers small.
+    """
+    n = draw(st.integers(1, 6))
+    order = draw(st.integers(2, 12 if n <= 3 else 8))
     weights = draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))
     weights.append(-sum(weights) % order)
     assume(gcd(order, *weights) == 1)  # the generator acts with order m
@@ -579,60 +585,64 @@ class TestConstructStreaming:
     def test_stdout_is_the_tree_on_random_groups(self, drawn):
         assert_construct_is_the_tree(*drawn)
 
-    def test_c300_digest_and_one_encoding_per_arrow_and_depth(
-        self, capsys, write_input, monkeypatch
-    ):
-        calls = Counter()
-
-        def counted(quiver, v, t):
-            calls[v, t] += 1
-            return _arrow_json(quiver, v, t)
-
+    def test_c300_digest_and_no_dict_tree(self, capsys, write_input, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the payload went through json.dump")
+            raise AssertionError("construct built a dict tree or a squares tuple")
 
-        # The cut's arrows go through ``cut_to_json``, which looks the name
-        # up in ``construct``; the cut quiver's and the squares' in ``cli``.
-        monkeypatch.setattr(cli, "_arrow_json", counted)
-        monkeypatch.setattr(construct, "_arrow_json", counted)
+        # Every arrow object is written by ``_arrow_text``, and the squares
+        # are streamed from ``_relation_squares``: no arrow dict (through
+        # ``cut_to_json`` or ``_arrow_json`` in either module), no built
+        # tuple of squares and no ``json.dump`` of a payload.
+        monkeypatch.setattr(construct, "_arrow_json", refuse)
+        monkeypatch.setattr(cli, "_arrow_json", refuse, raising=False)
+        monkeypatch.setattr(cli, "degree_zero_presentation", refuse, raising=False)
         monkeypatch.setattr(json, "dump", refuse)
         code, out, _ = run_cli(
             capsys, ["--input", write_input(C300), "construct", "--type", C300_TYPE]
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == C300_CONSTRUCT_SHA256
-        # 20,100 arrow objects are printed, but each of the 2,100 arrows is
-        # encoded once at depth 3 and, if a relation square holds it, once
-        # more at depth 4; one dict per printed arrow took 20,100 calls.
         assert out.count('"arrow_type"') == 20100
-        assert len(calls) == 2100 and max(calls.values()) <= 2
 
     def test_c300_digest_and_peak_memory(self, write_input):
-        # The CLI's peak RSS above that of a call with a tiny output: about
-        # 6.5 MiB when the payload was a dict tree dumped by ``json.dump``,
-        # under 1 MiB streamed.  Both are started from a small intermediate
-        # process, as in the lattice test above.
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        # 0.1-0.4 MiB streamed; 1.9-2.5 MiB when the squares and each
+        # arrow object were built.
+        assert construct_peak_kib(write_input, "c300", C300_TYPE) < 1.5 * 1024
 
-        def probe(group, *command):
-            proc = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_PROBE,
-                 sys.executable, "-m", "mckaycuts.cli",
-                 "--input", write_input(group), *command],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            code, digest, peak_kib = proc.stdout.split()
-            assert code == "0"
-            return digest, int(peak_kib)
+    def test_c2000_digest_and_peak_memory(self, write_input):
+        # 0.7-1.5 MiB streamed; 2.6-3.3 MiB when the squares and each arrow
+        # object were built.
+        assert construct_peak_kib(write_input, "c2000", "1,5,1994") < 2.5 * 1024
 
-        _, small_kib = probe(THIRD, "types")
-        digest, peak_kib = probe(C300, "construct", "--type", C300_TYPE)
-        assert digest == C300_CONSTRUCT_SHA256
-        assert peak_kib - small_kib < 4 * 1024
+
+def construct_peak_kib(write_input, name, cut_type):
+    """Peak RSS of ``construct`` on a golden group above a ``types`` call, in KiB.
+
+    Both calls are started from a small intermediate process, as in the
+    lattice test below; the ``construct`` stdout must match its digest.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def probe(group, *command):
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_PROBE,
+             sys.executable, "-m", "mckaycuts.cli",
+             "--input", write_input(group), *command],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, digest, peak_kib = proc.stdout.split()
+        assert code == "0"
+        return digest, int(peak_kib)
+
+    _, small_kib = probe(THIRD, "types")
+    command = ["construct", "--type", cut_type]
+    digest, peak_kib = probe(record_golden.LADDER[name][0], *command)
+    assert digest == record_golden.find_row(GOLDEN, name, command)["sha256"]
+    return peak_kib - small_kib
 
 
 class TestLatticeAndExtremes:
