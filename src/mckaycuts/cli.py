@@ -173,10 +173,11 @@ def _construct_chunks(quiver, cut):
     degree-zero presentation (``degree_zero_presentation``) and whether
     it is acyclic, but only the height function's part of that tree is
     built.  Every arrow object is written by ``_arrow_text``: the cut's
-    sorted arrows and the cut quiver's arrows at depth 3, 64 to a chunk,
-    then each relation square, streamed from ``_relation_squares``, as
-    one join of its four arrows at depth 4.  The cut quiver is built only
-    for the closing ``acyclic`` verdict.
+    sorted arrows and the cut quiver's arrows at depth 3, then each
+    relation square, streamed from ``_relation_squares``, as one join of
+    its four arrows at depth 4; each array in chunks of about 16 KiB of
+    text.  The cut quiver is built only for the closing ``acyclic``
+    verdict.
     """
     arrow, square_arrow = _arrow_text(quiver, 3), _arrow_text(quiver, 4)
     sep = ",\n" + "  " * 4

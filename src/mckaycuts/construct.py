@@ -14,7 +14,7 @@ type is measured against this one, the seed of the lattice walk in
 from __future__ import annotations
 
 import json
-from itertools import combinations, islice
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 
 from .groups import _json_int, _json_list
@@ -134,19 +134,34 @@ def _indented(obj, depth: int) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
 
 
+# The text length at which ``_json_array`` yields a chunk: large enough
+# that writes stay few, small enough that the copies of one chunk alive
+# at once (its items, their join and the bytes written) stay small.
+_CHUNK_CHARS = 1 << 14
+
+
 def _json_array(texts, depth: int):
-    """Yield a JSON array ``depth`` levels deep, 64 items to a chunk.
+    """Yield a JSON array ``depth`` levels deep in chunks of about 16 KiB.
 
     The items come encoded for depth ``depth + 1``; the layout is that
     of ``json.dumps(..., indent=2)``, including ``[]`` for no items.
-    Joining 64 items before each yield writes the same text in a 64th of
-    the chunks.
+    Items are joined, each with the separator or bracket before it,
+    until the text reaches ``_CHUNK_CHARS``, so a chunk holds at most
+    that many characters plus one item, however large the items are;
+    the closing bracket is a chunk of its own.
     """
     pad = "\n" + "  " * (depth + 1)
-    texts, head = iter(texts), "[" + pad
-    while block := list(islice(texts, 64)):
-        yield head + ("," + pad).join(block)
-        head = "," + pad
+    sep = "," + pad
+    head, block, size = "[" + pad, [], 0
+    for text in texts:
+        block.append(text)
+        size += len(sep) + len(text)
+        if size >= _CHUNK_CHARS:
+            yield head + sep.join(block)
+            head, block, size = sep, [], 0
+    if block:
+        yield head + sep.join(block)
+        head = sep
     yield "[]" if head[0] == "[" else pad[:-2] + "]"
 
 

@@ -68,9 +68,10 @@ two vertex by vertex and build no height function.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 
 from .construct import _arrow_text, _indented, _json_array, cut_to_json
 from .errors import SearchBoundExceededError
@@ -176,12 +177,14 @@ class MutationLattice(_Record):
     where it is used often.  Both ``cuts`` and ``json_chunks`` read a cut
     off its int's mask (``bounds.mask``, which checks its type), so they
     give the same arrows.  A copy with other vectors is built from their
-    ints, ``tuple(map(bounds.pack, vectors))``.  ``max_index`` is the
+    ints, which must strictly increase, as the walk's do:
+    ``tuple(sorted(map(bounds.pack, vectors)))``.  ``max_index`` is the
     last index and ``min_index`` is 0.  ``hasse_edges`` are the covers
     as (lower index, upper index, vertex) triples, the vertex being the
     first of the class that moves (for a positive type, the vertex
-    mutated); each access reads them off the ints into a new tuple, so
-    read them once.  ``to_json`` builds the JSON tree; ``json_chunks``
+    mutated); each access reads them off the sorted ints into a new
+    tuple, so read them once, and raises ValueError on ints out of
+    order.  ``to_json`` builds the JSON tree; ``json_chunks``
     writes the same tree's ``indent=2`` text piece by piece without
     building it, which is how the ``lattice`` command prints it, and
     ``hasse_dot`` writes the DOT text line by line.  The arrow formatter
@@ -221,20 +224,36 @@ class MutationLattice(_Record):
 
         From cut i, each class that can rise gives the edge (i, index of
         ``cut + step``, first vertex of the class); ``_walk_lattice`` says
-        why they come out sorted.  The index lives only during the pass.
-        A copy whose ints miss the upper end of a rise raises ValueError.
+        why they come out sorted.  No index of the ints is built: the
+        upper end lies above cut i in the sorted ints, and each class
+        keeps the offset from lower to upper index of its last edge, which
+        most edges of a class repeat.  One comparison checks that guess,
+        and a miss bisects the ints above cut i.  That needs the ints
+        sorted: a copy whose ints do not strictly increase raises
+        ValueError before the first edge, and so does, when it is reached,
+        a rise whose upper end a copy lacks.
         """
-        index = {cut: i for i, cut in enumerate(self.packed)}
-        moves = self.bounds.classes()
-        for i, cut in enumerate(self.packed):
-            for flip, into, step, vertex in moves:
+        packed = self.packed
+        if not all(map(operator.lt, packed, islice(packed, 1, None))):
+            raise ValueError("the lattice's ints do not strictly increase")
+        size = len(packed)
+        moves = [[*move, 1] for move in self.bounds.classes()]
+        for i, cut in enumerate(packed):
+            for move in moves:
+                flip, into, step, vertex, ahead = move
                 if cut & flip == into:
-                    if (upper := index.get(cut + step)) is None:
-                        raise ValueError(
-                            f"cut {i} rises at vertex {vertex} to v = "
-                            f"{self.bounds.vector(cut + step)}, which the lattice lacks"
-                        )
-                    yield i, upper, vertex
+                    upper = cut + step
+                    j = i + ahead
+                    if j >= size or packed[j] != upper:
+                        j = bisect_left(packed, upper, i + 1)
+                        if j == size or packed[j] != upper:
+                            raise ValueError(
+                                f"cut {i} rises at vertex {vertex} to v = "
+                                f"{self.bounds.vector(upper)}, which the "
+                                "lattice lacks"
+                            )
+                        move[4] = j - i
+                    yield i, j, vertex
 
     def to_json(self) -> dict:
         quiver = self.bounds.quiver
@@ -257,7 +276,7 @@ class MutationLattice(_Record):
     def json_chunks(self):
         """Yield ``json.dumps(self.to_json(), indent=2) + "\\n"`` in pieces.
 
-        The text is written 64 cuts, vectors or edges to a chunk (see
+        Each array is written in chunks of about 16 KiB of text (see
         ``_json_array``); neither the dict tree nor the whole string is
         built, nor any ``Cut``.  Each cut's arrows are read off its int's
         mask (``bounds.mask``, which also checks the cut's type).  Bit i
@@ -564,33 +583,38 @@ def _walk_lattice(bounds: _Bounds) -> tuple[int, ...]:
     each member, so it adds the class's constant ``step``, and no carry
     crosses from one digit or mask bit to the next.
 
-    The climb records only the set of ints it has seen and returns them
-    sorted, which numbers the cuts; nothing else is kept.  The Hasse
-    edges are read back off the sorted ints with the same AND
-    (``MutationLattice._covers``): from cut i, each class that can rise
-    gives the edge (i, index of ``cut + step``, first vertex of the
-    class).  That pass writes the edges already sorted.  For one lower
-    end, a class with a smaller first vertex has the larger rise, since
-    vertex 0 is the most significant digit, the classes are disjoint and
-    digits never carry; a step's mask part ``out - into`` lies below the
-    digits, so the vector part orders the upper ends.  Taking the
-    classes from last to first, as ``_Bounds.classes`` gives them, thus
-    gives increasing upper ends, and no (lower, upper) pair comes from
-    two classes.
+    The climb goes rank by rank.  Every cover raises one class by one,
+    so the rank of a cut, the sum over classes of its value less the
+    bottom's, is the length of every chain of covers up from the bottom,
+    and the cuts of rank r + 1 are exactly the rises of the cuts of rank
+    r.  Only the next rank is deduplicated, in a set; each rank is
+    appended to one list, which is sorted once at the end, and the sorted
+    ints number the cuts.  Nothing else is kept, so the walk peaks at the
+    ints plus a set of one rank.  The Hasse edges are read back off the
+    sorted ints with the same AND (``MutationLattice._covers``): from cut
+    i, each class that can rise gives the edge (i, index of ``cut +
+    step``, first vertex of the class).  That pass writes the edges
+    already sorted.  For one lower end, a class with a smaller first
+    vertex has the larger rise, since vertex 0 is the most significant
+    digit, the classes are disjoint and digits never carry; a step's mask
+    part ``out - into`` lies below the digits, so the vector part orders
+    the upper ends.  Taking the classes from last to first, as
+    ``_Bounds.classes`` gives them, thus gives increasing upper ends, and
+    no (lower, upper) pair comes from two classes.
     """
     moves = bounds.classes()
-    start = bounds.pack(bounds.extreme(-1))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cut = stack.pop()
-        for flip, into, step, _ in moves:
-            if cut & flip == into:
-                moved = cut + step
-                if moved not in seen:
-                    seen.add(moved)
-                    stack.append(moved)
-    return tuple(sorted(seen))
+    rank = [bounds.pack(bounds.extreme(-1))]
+    cuts = []
+    while rank:
+        cuts += rank
+        rank = {
+            cut + step
+            for cut in rank
+            for flip, into, step, _ in moves
+            if cut & flip == into
+        }
+    cuts.sort()
+    return tuple(cuts)
 
 
 def enumerate_cut_lattice(quiver: McKayQuiver, cut_type) -> MutationLattice:

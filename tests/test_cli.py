@@ -607,19 +607,22 @@ class TestConstructStreaming:
     def test_c300_digest_and_peak_memory(self, write_input):
         # 0.1-0.4 MiB streamed; 1.9-2.5 MiB when the squares and each
         # arrow object were built.
-        assert construct_peak_kib(write_input, "c300", C300_TYPE) < 1.5 * 1024
+        command = ["construct", "--type", C300_TYPE]
+        assert peak_kib_above_types(write_input, "c300", command) < 1.5 * 1024
 
     def test_c2000_digest_and_peak_memory(self, write_input):
         # 0.7-1.5 MiB streamed; 2.6-3.3 MiB when the squares and each arrow
         # object were built.
-        assert construct_peak_kib(write_input, "c2000", "1,5,1994") < 2.5 * 1024
+        command = ["construct", "--type", "1,5,1994"]
+        assert peak_kib_above_types(write_input, "c2000", command) < 2.5 * 1024
 
 
-def construct_peak_kib(write_input, name, cut_type):
-    """Peak RSS of ``construct`` on a golden group above a ``types`` call, in KiB.
+def peak_kib_above_types(write_input, name, command):
+    """Peak RSS of a CLI call on a golden group above a ``types`` call, in KiB.
 
-    Both calls are started from a small intermediate process, as in the
-    lattice test below; the ``construct`` stdout must match its digest.
+    A child's peak RSS starts at that of the process it was forked from,
+    so both calls are started from a small intermediate process, not from
+    pytest; the call's stdout must match its golden digest.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
 
@@ -639,10 +642,23 @@ def construct_peak_kib(write_input, name, cut_type):
         return digest, int(peak_kib)
 
     _, small_kib = probe(THIRD, "types")
-    command = ["construct", "--type", cut_type]
     digest, peak_kib = probe(record_golden.LADDER[name][0], *command)
     assert digest == record_golden.find_row(GOLDEN, name, command)["sha256"]
     return peak_kib - small_kib
+
+
+def assert_chunks_bounded(chunks, arrays, depth):
+    """Every chunk is at most 16 KiB plus one item of the streamed arrays.
+
+    ``arrays`` hold the items of the arrays at ``depth`` as tree parts; an
+    item counts with the separator written before it.
+    """
+    item = max(
+        len(",\n" + "  " * (depth + 1)) + len(construct._indented(x, depth + 1))
+        for array in arrays
+        for x in array
+    )
+    assert max(map(len, chunks)) <= 16 * 1024 + item
 
 
 class TestLatticeAndExtremes:
@@ -784,31 +800,38 @@ class TestLatticeStreaming:
 
     def test_m30_digest_and_peak_memory(self, write_input):
         # 14,955 cuts and 65,424 Hasse edges, about 63 MB of JSON.  The
-        # digests pin the bytes.  The JSON bound fails if the lattice keeps
-        # a Cut per member again, which took the CLI's peak RSS to about
-        # 109 MiB; the DOT bound fails if the edges are stored or the DOT
-        # text is built whole again, which took it to about 40 MiB.  A
-        # child's peak RSS starts at that of the process it was forked
-        # from, so the CLI is started from a small intermediate process,
-        # not from pytest.
-        group = {"n": 2, "generators": [{"order": 30, "weights": [1, 5, 24]}]}
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        path = write_input(group)
-        for extra, bound_mib in (([], 64), (["--format", "dot"], 32)):
+        # digests pin the bytes.  The lattice keeps about 81 bytes per cut,
+        # 1.2 MiB, and a call peaks about 1.1-1.5 MiB above a ``types``
+        # call.  It peaked 2.3-2.8 MiB above it while the walk kept a set
+        # of every cut seen, the edge pass a dict from each int to its
+        # index and the JSON 64 cuts to a chunk.  With a Cut per member the
+        # JSON call peaked at about 109 MiB, and with the edges stored or
+        # the DOT text built whole the DOT call at about 40 MiB.
+        for extra in ([], ["--format", "dot"]):
             command = ["lattice", "--type", "8,10,12", *extra]
-            proc = subprocess.run(
-                [sys.executable, "-c", PEAK_RSS_PROBE,
-                 sys.executable, "-m", "mckaycuts.cli", "--input", path, *command],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            code, digest, peak_kib = proc.stdout.split()
-            assert code == "0"
-            assert digest == record_golden.find_row(GOLDEN, "c30", command)["sha256"]
-            assert int(peak_kib) < bound_mib * 1024, command
+            assert peak_kib_above_types(write_input, "c30", command) < 2 * 1024, command
+
+    def test_chunks_hold_16_kib_and_one_item(self):
+        # Items are joined until their text reaches the bound, however
+        # large they are: 64 cuts of 1/24(1,5,18) make a chunk of about
+        # 170 KiB, and 64 relation squares of c300 one of about 45 KiB.
+        quiver = build_mckay(embedding_from_spec(GroupSpec.make(2, [(24, (1, 5, 18))])))
+        lattice = enumerate_cut_lattice(quiver, (7, 11, 6))
+        tree = lattice.to_json()
+        assert_chunks_bounded(
+            lattice.json_chunks(),
+            (tree["cuts"], tree["v_vectors"], tree["hasse_edges"]),
+            1,
+        )
+        weights = (1, 2, 3, 4, 5, 6, 279)
+        quiver = build_mckay(embedding_from_spec(GroupSpec.make(6, [(300, weights)])))
+        cut_type = tuple(map(int, C300_TYPE.split(",")))
+        tree = construct_tree(quiver, cut_type)
+        assert_chunks_bounded(
+            cli._construct_chunks(quiver, construct_cut(quiver, cut_type)),
+            (tree["cut"]["arrows"], *tree["degree_zero"].values()),
+            2,
+        )
 
     @pytest.mark.parametrize("group, command, read", [
         # About 6 MB of output, more than a pipe buffer holds.
